@@ -28,6 +28,13 @@ on every row, fused tiles must do zero tree node accesses, and at the
 widest batch (>= 32 must be present) the fused path must do strictly
 less total counted work (node accesses + overlap tests) than the
 per-query path — again machine-independent, wall-clock never gated.
+
+`BENCH_paper.json` gates the direction of the paper's headline result
+(Table I, clipping cuts leaf I/O): in every variant x profile cell both
+clip methods reduce leaf accesses (> 0) and stairline saves at least as
+much as skyline; per variant and method, the small-query profile QR0
+saves at least as much as the large-query profile QR2. Magnitudes are
+reported, never gated.
 """
 
 import json
@@ -176,6 +183,48 @@ def check_fusion(path, doc):
     return bool(errors)
 
 
+def check_paper(path, doc):
+    """Validate the Table I report's direction-only gates."""
+    errors = []
+    rows = doc.get("rows")
+    if not isinstance(rows, list) or not rows:
+        errors.append("missing or empty rows array")
+        rows = []
+    cells = {}
+    for row in rows:
+        label = f"{row.get('variant')!r} {row.get('profile')!r}"
+        sky, sta = row.get("skyline"), row.get("stairline")
+        if not all(isinstance(v, (int, float)) for v in (sky, sta)):
+            errors.append(f"{label}: missing skyline/stairline reduction")
+            continue
+        for method, value in (("skyline", sky), ("stairline", sta)):
+            if value <= 0:
+                errors.append(f"{label}: {method} reduction {value} <= 0")
+        if sta < sky:
+            errors.append(f"{label}: stairline {sta} < skyline {sky}")
+        cells[(row.get("variant"), row.get("profile"))] = (sky, sta)
+    variants = sorted({variant for variant, _ in cells})
+    for variant in variants:
+        qr0, qr2 = cells.get((variant, "QR0")), cells.get((variant, "QR2"))
+        if qr0 is None or qr2 is None:
+            errors.append(f"{variant!r}: missing QR0 or QR2 row")
+            continue
+        for i, method in enumerate(("skyline", "stairline")):
+            if qr0[i] < qr2[i]:
+                errors.append(
+                    f"{variant!r} {method}: QR0 {qr0[i]} < QR2 {qr2[i]}"
+                )
+    for err in errors:
+        print(f"{path}: {err}", file=sys.stderr)
+    if not errors:
+        total = doc.get("total", {})
+        print(
+            f"{path}: OK ({len(rows)} cells across {len(variants)} variants, "
+            f"total {total.get('skyline')}/{total.get('stairline')})"
+        )
+    return bool(errors)
+
+
 def row_arrays(node):
     """Yield every list-of-dicts found anywhere in the document."""
     if isinstance(node, list):
@@ -212,6 +261,9 @@ def main(paths):
             continue
         if os.path.basename(path) == "BENCH_fusion.json":
             failed |= check_fusion(path, doc)
+            continue
+        if os.path.basename(path) == "BENCH_paper.json":
+            failed |= check_paper(path, doc)
             continue
         arrays = list(row_arrays(doc))
         if not arrays:

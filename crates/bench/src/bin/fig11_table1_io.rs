@@ -12,6 +12,13 @@
 //! RR*-tree    15/28    11/21   4.5/9.5   10/19
 //! Total       21/38    15/27   6.5/13    14/26
 //! ```
+//!
+//! Writes `BENCH_paper.json`: the mean reduction of every variant ×
+//! profile cell for both clip methods, plus the total. CI gates its
+//! direction only (`check_bench_json.py`): every reduction is above 0,
+//! stairline ≥ skyline in every cell, and QR0 ≥ QR2 per variant and
+//! method. The bin runs at its default scale (it ignores
+//! `CBB_BENCH_SMOKE`).
 
 use cbb_bench::{
     base_leaf_accesses, clip_tree, clipped_leaf_accesses, header, paper_build, parse_args, pct,
@@ -122,4 +129,33 @@ fn main() {
     cells.push(fmt_pair(acc.mean(None, None, 0), acc.mean(None, None, 1)));
     println!("{}", row("Total", &cells));
     println!("\n(paper Table I total: 14/26)");
+
+    let json_rows: Vec<String> = VARIANTS
+        .iter()
+        .enumerate()
+        .flat_map(|(vi, variant)| {
+            let acc = &acc;
+            (0..3).map(move |pi| {
+                format!(
+                    "{{\"variant\": \"{}\", \"profile\": \"QR{pi}\", \"skyline\": {:.4}, \"stairline\": {:.4}}}",
+                    variant.label(),
+                    acc.mean(Some(vi), Some(pi), 0),
+                    acc.mean(Some(vi), Some(pi), 1),
+                )
+            })
+        })
+        .collect();
+    let json = format!(
+        "{{\n  \"bench\": \"fig11_table1_io\",\n  \"metric\": \"mean leaf-access reduction vs unclipped\",\n  \
+         \"config\": {{\"scale\": \"{:?}\", \"queries\": {}, \"seed\": {}}},\n  \
+         \"total\": {{\"skyline\": {:.4}, \"stairline\": {:.4}}},\n  \"rows\": [\n    {}\n  ]\n}}\n",
+        args.scale,
+        args.queries,
+        args.seed,
+        acc.mean(None, None, 0),
+        acc.mean(None, None, 1),
+        json_rows.join(",\n    "),
+    );
+    std::fs::write("BENCH_paper.json", &json).expect("write BENCH_paper.json");
+    println!("wrote BENCH_paper.json ({} cells)", json_rows.len());
 }

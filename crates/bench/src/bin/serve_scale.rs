@@ -21,9 +21,9 @@ use cbb_bench::{header, row, smoke_mode};
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_datasets::stream::{query_stream, StreamKind, StreamProfile};
-use cbb_engine::{AdaptiveGrid, BatchExecutor, JoinAlgo};
+use cbb_engine::{AdaptiveGrid, DatasetStore, JoinAlgo};
 use cbb_rtree::{TreeConfig, Variant};
-use cbb_serve::{Completion, QueryService, Request, Response, ServiceConfig};
+use cbb_serve::{Completion, Request, Response, ServiceBuilder, ServiceConfig};
 use cbb_telemetry::Histogram;
 
 struct ConfigRow {
@@ -84,11 +84,11 @@ fn main() {
          (burstiness 4, 20% kNN), adaptive 6×6 grid, R*-tree + CSTA",
     );
 
-    // The pre-catalog single-store oracle: a direct `BatchExecutor`
+    // The pre-catalog single-store oracle: a direct `DatasetStore`
     // over the same data. The catalog-routed service must answer a
     // sample of the stream identically, so the bench numbers stay
     // comparable across the refactor.
-    let direct = BatchExecutor::build(partitioner.clone(), &data.boxes, tree, clip, 4);
+    let direct = DatasetStore::build(partitioner.clone(), &data.boxes, tree, clip, 4);
     let verify = stream.len().min(64);
 
     let configs = [
@@ -130,8 +130,7 @@ fn main() {
             queue_capacity: requests.max(1),
             ..config
         };
-        let service = QueryService::start(
-            config.clone(),
+        let service = ServiceBuilder::from_config(config.clone()).build(
             partitioner.clone(),
             data.boxes.clone(),
             tree,
@@ -184,7 +183,9 @@ fn main() {
             }
         }
         assert_eq!(
-            service.data_version(),
+            service
+                .dataset_version(service.default_dataset())
+                .expect("default dataset exists"),
             service.dataset_version(dataset).unwrap()
         );
 

@@ -25,10 +25,10 @@ use cbb_bench::{header, row, smoke_mode};
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
 use cbb_datasets::stream::{query_stream, StreamKind, StreamProfile};
-use cbb_engine::{AdaptiveGrid, BatchExecutor, CompactionPolicy, TileForest, Update};
+use cbb_engine::{AdaptiveGrid, CompactionPolicy, DatasetStore, TileForest, Update};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{QueryService, Request, ServiceConfig};
+use cbb_serve::{Request, ServiceBuilder, ServiceConfig};
 
 fn verification_queries(n: usize, seed: u64) -> Vec<Rect<2>> {
     let mut rng = SplitMix64::new(seed);
@@ -103,8 +103,8 @@ fn main() {
     // numbers stay directly comparable (slot reuse would not change
     // them, but determinism beats trusting that).
     let started = Instant::now();
-    let mut exec = BatchExecutor::build(partitioner.clone(), &data.boxes, tree, clip, workers);
-    exec.store_mut().set_compaction(CompactionPolicy::never());
+    let mut exec = DatasetStore::build(partitioner.clone(), &data.boxes, tree, clip, workers);
+    exec.set_compaction(CompactionPolicy::never());
     let initial_build_nodes = exec.forest().nodes_allocated();
     let mut delta_nodes = 0u64;
     let mut delta_tiles = 0usize;
@@ -117,7 +117,7 @@ fn main() {
     let delta_answers = exec.run(&queries, workers, true);
 
     // ── Rebuild-per-batch: the same script absorbed by building a
-    // fresh forest after every batch (the `swap_data` discipline).
+    // fresh forest after every batch (the `swap_dataset` discipline).
     let started = Instant::now();
     let mut arena = data.boxes.clone();
     let mut live = vec![true; arena.len()];
@@ -139,7 +139,7 @@ fn main() {
         last_forest = Some(forest);
     }
     let rebuild_wall = started.elapsed().as_secs_f64() * 1e3;
-    let rebuilt = BatchExecutor::with_forest_where(
+    let rebuilt = DatasetStore::with_forest_where(
         partitioner.clone(),
         arena.clone(),
         live.clone(),
@@ -168,17 +168,12 @@ fn main() {
     // requests through the service queue (one version bump per batch,
     // zero rebuilds).
     let started = Instant::now();
-    let service = QueryService::start(
-        ServiceConfig {
-            exec_workers: workers,
-            compaction: CompactionPolicy::never(),
-            ..ServiceConfig::default()
-        },
-        partitioner.clone(),
-        data.boxes.clone(),
-        tree,
-        clip,
-    );
+    let service = ServiceBuilder::from_config(ServiceConfig {
+        exec_workers: workers,
+        compaction: CompactionPolicy::never(),
+        ..ServiceConfig::default()
+    })
+    .build(partitioner.clone(), data.boxes.clone(), tree, clip);
     let dataset = service.default_dataset();
     for ops in script.chunks(ops_per_batch) {
         let summary = service
@@ -194,15 +189,13 @@ fn main() {
         assert_eq!(summary.results.len(), ops.len());
     }
     let serve_wall = started.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(service.live_object_count(), exec.live_count());
-    assert_eq!(service.data_version().0, batches as u64);
+    assert_eq!(service.dataset_live_count(dataset), Some(exec.live_count()));
     assert_eq!(
-        service.data_version(),
-        service.dataset_version(dataset).unwrap(),
-        "the single-store shim reads the default catalog dataset"
+        service.dataset_version(dataset).map(|v| v.0),
+        Some(batches as u64)
     );
-    // Catalog path ≡ pre-catalog single store: the served answers must
-    // be identical to the directly maintained executor's.
+    // Served path ≡ direct store: the served answers must be identical
+    // to the directly maintained store's.
     for (i, q) in queries.iter().enumerate() {
         let served = service
             .submit(Request::Range {
@@ -218,7 +211,7 @@ fn main() {
         assert_eq!(
             sorted(served),
             sorted(delta_answers.results[i].clone()),
-            "catalog answer diverged from the single-store executor on query {i}"
+            "served answer diverged from the direct store on query {i}"
         );
     }
     let report = service.shutdown();

@@ -1,6 +1,6 @@
 //! Batched range/kNN-query execution: one shared clipped tree
-//! ([`parallel_range_queries`]) or a reusable partitioned executor
-//! ([`BatchExecutor`]) over a [`TileForest`].
+//! ([`parallel_range_queries`]) or a partitioned
+//! [`crate::DatasetStore`] over a [`TileForest`].
 //!
 //! A query workload is split into contiguous shards, each shard runs on
 //! its own worker against read-only indexes (the index types are `Sync`),
@@ -10,7 +10,7 @@
 //!
 //! The [`TileForest`] — one clipped R-tree per non-empty tile of a
 //! [`Partitioner`] — is the unit the serving layer caches across
-//! requests: an executor borrows a forest (`Arc`-shared), and the same
+//! requests: a store borrows a forest (`Arc`-shared), and the same
 //! forest doubles as the prebuilt indexed side of repeated joins
 //! ([`crate::join::partitioned_join_with`]), keyed by
 //! [`crate::partition::DataVersion`] in a [`crate::join::ForestCache`].
@@ -18,17 +18,15 @@
 use std::sync::{Arc, OnceLock};
 
 use cbb_core::ClipConfig;
-use cbb_geom::{Point, Rect};
+use cbb_geom::Rect;
 use cbb_joins::TileColumns;
 use cbb_rtree::{AccessStats, ClippedRTree, DataId, Neighbor, RTree, TreeConfig};
 
-use crate::catalog::DatasetStore;
 use crate::partition::Partitioner;
 use crate::pool::map_chunked;
-use crate::update::{Update, UpdateOutcome};
 
 /// One clipped R-tree per non-empty tile of a partitioner — the shared
-/// index substrate of [`BatchExecutor`] and forest-reusing joins.
+/// index substrate of [`crate::DatasetStore`] and forest-reusing joins.
 ///
 /// Trees are always built *with* clip tables, so every consumer can
 /// choose clipped or unclipped probing per call (an unused clip table
@@ -218,7 +216,7 @@ impl<const D: usize> TileForest<D> {
     /// accounting.
     ///
     /// The caller owns the id space: `id` must be unique among live
-    /// objects (the [`BatchExecutor`] assigns arena slots).
+    /// objects (the [`crate::DatasetStore`] assigns arena slots).
     pub fn insert_object<P: Partitioner<D>>(
         &mut self,
         partitioner: &P,
@@ -402,192 +400,10 @@ pub struct KnnOutcome {
     pub per_query: Vec<AccessStats>,
 }
 
-/// A reusable partitioned batch executor: the dataset is multi-assigned
-/// to the tiles of any [`Partitioner`], one clipped R-tree is built per
-/// non-empty tile **once** (the [`TileForest`]), and query batches are
-/// then served against the per-tile trees for the lifetime of the
-/// executor (per-tile tree reuse — no rebuilding per batch). The forest
-/// is `Arc`-shared, so a serving layer can hand the *same* trees to the
-/// join path and to later executors for unchanged data.
-///
-/// Since the catalog refactor the executor is a thin façade over one
-/// [`DatasetStore`] — the arena / liveness / partitioner / forest state
-/// now lives there, where a [`crate::Catalog`] can own many of them
-/// side by side. The executor remains the convenient single-dataset
-/// handle (and the pre-catalog API surface the benches compare
-/// against); [`Self::store`] exposes the store for versioning,
-/// compaction policy, and catalog interop.
-///
-/// A range query is probed against every tile it covers; an object found
-/// in several tiles is reported once, by the tile owning the query/object
-/// reference point (the same duplicate-elimination rule the join uses).
-/// Results come back in workload order; each query's result list is
-/// sorted ascending by id (the canonical order of [`BatchOutcome`]),
-/// independent of the worker count, the partitioner's tile visit order,
-/// and the [`QueryAlgo`] execution path.
-pub struct BatchExecutor<const D: usize, P> {
-    store: DatasetStore<D, P>,
-}
-
-impl<const D: usize, P: Partitioner<D>> BatchExecutor<D, P> {
-    /// Partition `objects` and bulk-load the per-tile trees on `workers`
-    /// threads. Trees are always built with clip tables so every batch
-    /// can choose clipped or unclipped probing.
-    pub fn build(
-        partitioner: P,
-        objects: &[Rect<D>],
-        tree: TreeConfig<D>,
-        clip: ClipConfig,
-        workers: usize,
-    ) -> Self {
-        BatchExecutor {
-            store: DatasetStore::build(partitioner, objects, tree, clip, workers),
-        }
-    }
-
-    /// Wrap an existing (cached) forest instead of building one. The
-    /// forest must have been built from `objects` under `partitioner` —
-    /// the tile count is checked, the content correspondence is the
-    /// caller's contract. Every slot is taken as live; a forest built
-    /// over a tombstoned arena ([`TileForest::build_where`] with a
-    /// mask) must come through [`Self::with_forest_where`] instead, or
-    /// the executor's liveness bookkeeping disagrees with its trees.
-    pub fn with_forest(partitioner: P, objects: Vec<Rect<D>>, forest: Arc<TileForest<D>>) -> Self {
-        BatchExecutor {
-            store: DatasetStore::with_forest(partitioner, objects, forest),
-        }
-    }
-
-    /// [`Self::with_forest`] for a tombstoned arena: `live[i]` flags
-    /// slot `i`, and the forest must index exactly the live slots (a
-    /// [`TileForest::build_where`] over the same mask does).
-    pub fn with_forest_where(
-        partitioner: P,
-        objects: Vec<Rect<D>>,
-        live: Vec<bool>,
-        forest: Arc<TileForest<D>>,
-    ) -> Self {
-        BatchExecutor {
-            store: DatasetStore::with_forest_where(partitioner, objects, live, forest),
-        }
-    }
-
-    /// Wrap an existing store (the catalog interop path).
-    pub fn from_store(store: DatasetStore<D, P>) -> Self {
-        BatchExecutor { store }
-    }
-
-    /// The underlying dataset store.
-    pub fn store(&self) -> &DatasetStore<D, P> {
-        &self.store
-    }
-
-    /// Mutable access to the underlying store (version, compaction
-    /// policy, swaps).
-    pub fn store_mut(&mut self) -> &mut DatasetStore<D, P> {
-        &mut self.store
-    }
-
-    /// Unwrap into the dataset store (for handing to a catalog).
-    pub fn into_store(self) -> DatasetStore<D, P> {
-        self.store
-    }
-
-    /// The partitioner the executor was built over.
-    pub fn partitioner(&self) -> &P {
-        self.store.partitioner()
-    }
-
-    /// The objects the executor serves (global [`DataId`] id space,
-    /// including tombstoned slots of deleted objects).
-    pub fn objects(&self) -> &[Rect<D>] {
-        self.store.objects()
-    }
-
-    /// Liveness of every arena slot (parallel to [`Self::objects`]).
-    pub fn live(&self) -> &[bool] {
-        self.store.live()
-    }
-
-    /// Number of live (queryable) objects.
-    pub fn live_count(&self) -> usize {
-        self.store.live_count()
-    }
-
-    /// Apply an update batch *in order*, copy-on-write — see
-    /// [`DatasetStore::apply_updates`], which this delegates to
-    /// (including the version bump per applied batch and the
-    /// threshold-driven compaction sweep).
-    pub fn apply_updates(
-        &mut self,
-        updates: &[Update<D>],
-        tree: TreeConfig<D>,
-        clip: ClipConfig,
-    ) -> UpdateOutcome {
-        self.store.apply_updates(updates, tree, clip)
-    }
-
-    /// The shared per-tile trees (clone the `Arc` to reuse them in a
-    /// join or a successor executor).
-    pub fn forest(&self) -> &Arc<TileForest<D>> {
-        self.store.forest()
-    }
-
-    /// Number of non-empty tiles (built trees).
-    pub fn tile_tree_count(&self) -> usize {
-        self.store.tile_tree_count()
-    }
-
-    /// Execute `queries` on `workers` threads. With `use_clips = false`
-    /// the probes run on the base trees (the unclipped baseline on the
-    /// same indexes). Shorthand for [`Self::run_with`] on the classic
-    /// per-query path ([`QueryAlgo::Descend`]).
-    pub fn run(&self, queries: &[Rect<D>], workers: usize, use_clips: bool) -> BatchOutcome {
-        self.store.run(queries, workers, use_clips)
-    }
-
-    /// Execute `queries` under an explicit [`QueryAlgo`],
-    /// [`crate::AutoPolicy`] and [`crate::SplitPolicy`] — see
-    /// [`DatasetStore::run_with`] for the fused shared-sweep execution
-    /// model and its byte-equality guarantee.
-    pub fn run_with(
-        &self,
-        queries: &[Rect<D>],
-        workers: usize,
-        use_clips: bool,
-        algo: QueryAlgo,
-        policy: &crate::AutoPolicy,
-        split: crate::SplitPolicy,
-    ) -> BatchOutcome {
-        self.store
-            .run_with(queries, workers, use_clips, algo, policy, split)
-    }
-
-    /// Execute the kNN probes `(center, k)` on `workers` threads.
-    /// Results come back in workload order and are independent of the
-    /// worker count. Per-tile searches run the clip-aware kNN
-    /// ([`ClippedRTree::knn_stats`]): clip points tighten node MINDISTs
-    /// for probes near clipped corners, with answers identical to the
-    /// base-tree search.
-    pub fn run_knn(&self, probes: &[(Point<D>, usize)], workers: usize) -> KnnOutcome {
-        self.store.run_knn(probes, workers)
-    }
-
-    /// [`Self::run_knn`] with an explicit choice of tile-ordering bound
-    /// — see [`DatasetStore::run_knn_with`].
-    pub fn run_knn_with(
-        &self,
-        probes: &[(Point<D>, usize)],
-        workers: usize,
-        clipped_prefilter: bool,
-    ) -> KnnOutcome {
-        self.store.run_knn_with(probes, workers, clipped_prefilter)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::DatasetStore;
     use cbb_core::{ClipConfig, ClipMethod};
     use cbb_geom::{Point, SplitMix64};
     use cbb_rtree::{RTree, TreeConfig, Variant};
@@ -732,16 +548,15 @@ mod tests {
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
             let tree = TreeConfig::tiny(Variant::RStar);
-            let uniform =
-                BatchExecutor::build(UniformGrid::new(domain, 4), &objects, tree, clip, 2);
-            let adaptive = BatchExecutor::build(
+            let uniform = DatasetStore::build(UniformGrid::new(domain, 4), &objects, tree, clip, 2);
+            let adaptive = DatasetStore::build(
                 AdaptiveGrid::from_sample(domain, [4, 4], &objects),
                 &objects,
                 tree,
                 clip,
                 2,
             );
-            let quadtree = BatchExecutor::build(
+            let quadtree = DatasetStore::build(
                 QuadtreePartitioner::build(domain, &objects, 300),
                 &objects,
                 tree,
@@ -764,7 +579,7 @@ mod tests {
         fn executor_is_deterministic_across_workers_and_reusable() {
             let (objects, queries) = objects_and_queries();
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
-            let exec = BatchExecutor::build(
+            let exec = DatasetStore::build(
                 AdaptiveGrid::from_sample(domain, [3, 5], &objects),
                 &objects,
                 TreeConfig::tiny(Variant::RRStar),
@@ -816,9 +631,8 @@ mod tests {
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
             let tree = TreeConfig::tiny(Variant::RStar);
-            let uniform =
-                BatchExecutor::build(UniformGrid::new(domain, 4), &objects, tree, clip, 2);
-            let quad = BatchExecutor::build(
+            let uniform = DatasetStore::build(UniformGrid::new(domain, 4), &objects, tree, clip, 2);
+            let quad = DatasetStore::build(
                 QuadtreePartitioner::build(domain, &objects, 300),
                 &objects,
                 tree,
@@ -862,7 +676,7 @@ mod tests {
             let (objects, queries) = objects_and_queries();
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
             let grid = UniformGrid::new(domain, 4);
-            let built = BatchExecutor::build(
+            let built = DatasetStore::build(
                 grid,
                 &objects,
                 TreeConfig::tiny(Variant::RStar),
@@ -874,7 +688,7 @@ mod tests {
             // A second executor over the same Arc answers identically
             // without building anything.
             let shared =
-                BatchExecutor::with_forest(grid, built.objects().to_vec(), built.forest().clone());
+                DatasetStore::with_forest(grid, built.objects().to_vec(), built.forest().clone());
             assert_eq!(
                 shared.run(&queries, 2, true).results,
                 built.run(&queries, 2, true).results
@@ -890,7 +704,7 @@ mod tests {
             let grid = UniformGrid::new(domain, 4);
             let tree = TreeConfig::tiny(Variant::RStar);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
-            let mut exec = BatchExecutor::build(grid, &objects, tree, clip, 2);
+            let mut exec = DatasetStore::build(grid, &objects, tree, clip, 2);
             let before_forest = exec.forest().clone();
             let before_answers = exec.run(&queries, 2, true);
 
@@ -945,7 +759,7 @@ mod tests {
                 clip,
                 2,
             ));
-            let rebuilt = BatchExecutor::with_forest_where(
+            let rebuilt = DatasetStore::with_forest_where(
                 *exec.partitioner(),
                 exec.objects().to_vec(),
                 exec.live().to_vec(),
@@ -971,7 +785,7 @@ mod tests {
 
             // Copy-on-write: the pre-update forest still answers the
             // original dataset — shared tiles were never disturbed.
-            let old = BatchExecutor::with_forest(
+            let old = DatasetStore::with_forest(
                 *exec.partitioner(),
                 objects.clone(),
                 before_forest.clone(),
@@ -987,7 +801,7 @@ mod tests {
             let grid = UniformGrid::new(domain, 4);
             let tree = TreeConfig::tiny(Variant::RStar);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
-            let mut exec = BatchExecutor::build(grid, &objects, tree, clip, 2);
+            let mut exec = DatasetStore::build(grid, &objects, tree, clip, 2);
             let before = exec.forest().clone();
             // One tiny insert confined to a single tile.
             let outcome =
@@ -1015,7 +829,7 @@ mod tests {
             let grid = UniformGrid::new(domain, 2);
             let tree = TreeConfig::tiny(Variant::Quadratic);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
-            let mut exec = BatchExecutor::build(grid, &[], tree, clip, 1);
+            let mut exec = DatasetStore::build(grid, &[], tree, clip, 1);
             assert_eq!(exec.tile_tree_count(), 0);
             let updates: Vec<Update<2>> = (0..40)
                 .map(|i| {
@@ -1053,7 +867,7 @@ mod tests {
             let grid = UniformGrid::new(domain, 4);
             let tree = TreeConfig::tiny(Variant::RStar);
             let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
-            let mut exec = BatchExecutor::build(grid, &objects, tree, clip, 2);
+            let mut exec = DatasetStore::build(grid, &objects, tree, clip, 2);
             let before = exec.forest().clone();
             let t = (0..before.tile_count())
                 .find(|&t| before.tree(t).is_some())
@@ -1109,14 +923,14 @@ mod tests {
         fn with_forest_rejects_mismatched_tiling() {
             let (objects, _) = objects_and_queries();
             let domain = r2(0.0, 0.0, 1000.0, 1000.0);
-            let built = BatchExecutor::build(
+            let built = DatasetStore::build(
                 UniformGrid::new(domain, 4),
                 &objects,
                 TreeConfig::tiny(Variant::RStar),
                 ClipConfig::paper_default::<2>(ClipMethod::Stairline),
                 2,
             );
-            let _ = BatchExecutor::with_forest(
+            let _ = DatasetStore::with_forest(
                 UniformGrid::new(domain, 5),
                 objects,
                 built.forest().clone(),

@@ -18,10 +18,12 @@
 //!   counters merged via `AddAssign` (after Tsitsigkos et al., *Parallel
 //!   In-Memory Evaluation of Spatial Joins*). Pair counts are exactly
 //!   those of a sequential join for every algorithm.
-//! * [`batch`] — the batched range-query executor
-//!   ([`parallel_range_queries`]): a query workload sharded across
-//!   workers against one shared [`cbb_rtree::ClippedRTree`], answers in
-//!   workload order, [`cbb_rtree::AccessStats`] merged.
+//! * [`batch`] — batched range/kNN execution: a query workload sharded
+//!   across workers against one shared [`cbb_rtree::ClippedRTree`]
+//!   ([`parallel_range_queries`]) or against the per-tile
+//!   [`TileForest`] of a [`DatasetStore`] — the engine's one query
+//!   handle ([`DatasetStore::run`], [`DatasetStore::run_knn`]) — with
+//!   answers in workload order and [`cbb_rtree::AccessStats`] merged.
 //! * [`update`] — the write side: [`Update`] batches applied through
 //!   [`DatasetStore::apply_updates`] route each object to its covering
 //!   tiles, maintain the per-tile clipped trees incrementally (§IV-D),
@@ -74,9 +76,7 @@ pub mod shard;
 pub mod update;
 
 pub use adaptive::AdaptiveGrid;
-pub use batch::{
-    parallel_range_queries, BatchExecutor, BatchOutcome, KnnOutcome, QueryAlgo, TileForest,
-};
+pub use batch::{parallel_range_queries, BatchOutcome, KnnOutcome, QueryAlgo, TileForest};
 pub use catalog::{
     Catalog, CatalogError, CompactionPolicy, Dataset, DatasetId, DatasetStore,
     DEFAULT_COMPACT_DEAD_FRACTION,

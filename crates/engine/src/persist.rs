@@ -505,7 +505,7 @@ where
     for i in 0..arena_pages {
         store.read_page(arena_first + i, &mut page);
         put_u32(&mut arena_page_crcs, crc32(&page));
-        let node = decode_node::<D>(&page);
+        let node = decode_node::<D>(&page).map_err(|err| corrupt(format!("arena page: {err}")))?;
         if node.level != 0 {
             return Err(corrupt("arena page is not a leaf node"));
         }
@@ -839,5 +839,20 @@ mod tests {
                 "corruption in page {bad_page}/{pages} must be detected"
             );
         }
+        // A flipped bit in an arena page's entry-count field: the page
+        // is decoded before the arena checksum is compared, so the
+        // decoder itself must refuse the count instead of allocating
+        // or reading by it.
+        let mut store = MemPageStore::new();
+        write_snapshot(&mut store, &ds);
+        let mut page = vec![0u8; PAGE_SIZE];
+        store.read_page(pages - 1, &mut page);
+        page[7] ^= 0x80;
+        store.write_page(pages - 1, &page);
+        let err = read_snapshot::<2, AnyPartitioner<2>, _>(&mut store);
+        assert!(
+            matches!(err, Err(PersistError::Corrupt(_))),
+            "entry-count flip must be Corrupt"
+        );
     }
 }

@@ -13,7 +13,7 @@
 
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_engine::{
-    partitioned_join_with, AdaptiveGrid, BatchExecutor, JoinPlan, Partitioner, QuadtreePartitioner,
+    partitioned_join_with, AdaptiveGrid, DatasetStore, JoinPlan, Partitioner, QuadtreePartitioner,
     TileForest, UniformGrid, Update,
 };
 use cbb_geom::{Point, Rect};
@@ -94,10 +94,10 @@ fn run_script<P: Partitioner<2> + Clone>(
     initial: &[Rect<2>],
     script: &[ScriptOp],
     chunk: usize,
-) -> (BatchExecutor<2, P>, Vec<Rect<2>>, Vec<bool>) {
+) -> (DatasetStore<2, P>, Vec<Rect<2>>, Vec<bool>) {
     let tree = TreeConfig::tiny(Variant::RStar);
     let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
-    let mut exec = BatchExecutor::build(partitioner, initial, tree, clip, 2);
+    let mut exec = DatasetStore::build(partitioner, initial, tree, clip, 2);
     let mut arena: Vec<Rect<2>> = initial.to_vec();
     let mut live = vec![true; initial.len()];
     // Free slots sorted descending: `pop()` reuses the smallest id,
@@ -148,7 +148,7 @@ fn run_script<P: Partitioner<2> + Clone>(
 }
 
 fn check_against_rebuild<P: Partitioner<2> + Clone>(
-    exec: &BatchExecutor<2, P>,
+    exec: &DatasetStore<2, P>,
     arena: &[Rect<2>],
     live: &[bool],
     queries: &[Rect<2>],
@@ -165,7 +165,7 @@ fn check_against_rebuild<P: Partitioner<2> + Clone>(
         clip,
         2,
     ));
-    let rebuilt = BatchExecutor::with_forest_where(
+    let rebuilt = DatasetStore::with_forest_where(
         exec.partitioner().clone(),
         arena.to_vec(),
         live.to_vec(),

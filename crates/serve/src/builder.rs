@@ -1,13 +1,11 @@
-//! One fluent entry point for every way of starting a service.
+//! The one way to start a service.
 //!
-//! `QueryService::start` / `start_catalog` grew positionally over five
-//! PRs; [`ServiceBuilder`] replaces both with named knobs — including
-//! the two that previously had no surface at all (shard count and
-//! [`cbb_engine::ForestCache`] capacity) — and always returns a
-//! [`ShardedService`]. One shard (the default) *is* the unsharded
-//! deployment: the router degrades to a pass-through over a single
-//! [`crate::QueryService`], so there is no separate single-store type
-//! to migrate between.
+//! [`ServiceBuilder`] names every knob — the per-shard
+//! [`ServiceConfig`] fields plus the shard count and fitting — and
+//! always returns a [`ShardedService`]. One shard (the default) *is*
+//! the unsharded deployment: the router passes every read straight
+//! through to the single shard, so there is no separate single-store
+//! service type.
 //!
 //! ```no_run
 //! use cbb_serve::{ServiceBuilder, ShardFitting};
@@ -76,9 +74,9 @@ impl ServiceBuilder {
         }
     }
 
-    /// Number of shards (≥ 1; default 1). Every shard is a full
-    /// [`crate::QueryService`] — the queue/batching knobs below apply
-    /// *per shard*.
+    /// Number of shards (≥ 1; default 1). Every shard is a full query
+    /// service — its own queue, dispatchers, catalog and forest cache —
+    /// so the queue/batching knobs below apply *per shard*.
     pub fn shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         self.shards = shards;
@@ -199,8 +197,11 @@ impl ServiceBuilder {
         self.config.clone()
     }
 
-    /// Start with an **empty catalog** (the `start_catalog`
-    /// replacement).
+    /// Start with an **empty catalog**: no dataset exists until
+    /// [`ShardedService::create_dataset`] (or a queued
+    /// [`crate::Request::CreateDataset`]) registers one. With
+    /// durability configured, a previous incarnation's catalog is
+    /// recovered first (see [`crate::durability`]).
     pub fn build_catalog<const D: usize, P>(
         self,
         tree: TreeConfig<D>,
@@ -220,7 +221,10 @@ impl ServiceBuilder {
     }
 
     /// Start with one dataset named [`crate::DEFAULT_DATASET`] built
-    /// from `objects` (the `start` replacement).
+    /// from `objects` ([`ShardedService::default_dataset`]). With
+    /// durability configured and a previous incarnation's state on
+    /// disk, the **recovered** default dataset wins: `objects` and
+    /// `partitioner` are ignored in favour of the durable state.
     pub fn build<const D: usize, P>(
         self,
         partitioner: P,

@@ -1,8 +1,9 @@
 //! The durability tier: per-dataset snapshot + write-ahead log under
 //! the catalog.
 //!
-//! With [`DurabilityConfig`] set, a service persists every dataset as
-//! two files under its root directory:
+//! With [`DurabilityConfig`] set, every shard of a service persists
+//! every dataset as two files under its own `shard_<i>` subdirectory of
+//! the configured root (`shard_0` at the default one shard):
 //!
 //! * `ds_<id>.snap` — a full-store snapshot in the `cbb-storage` page
 //!   format ([`cbb_engine::write_snapshot`]), rewritten atomically
@@ -77,10 +78,9 @@ pub const DEFAULT_CHECKPOINT_BYTES: u64 = 4 << 20;
 /// [module docs](self) for the file layout and recovery semantics.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DurabilityConfig {
-    /// Directory holding `catalog.wal` and the per-dataset
-    /// snapshot/WAL pairs. Created if missing. A
-    /// [`crate::ShardedService`] nests one `shard_<i>` subdirectory
-    /// per shard under it.
+    /// Directory holding one `shard_<i>` subdirectory per shard, each
+    /// with its `catalog.wal` and the per-dataset snapshot/WAL pairs.
+    /// Created if missing.
     pub root: PathBuf,
     /// Roll a dataset's WAL into a fresh snapshot once it exceeds this
     /// many bytes (default [`DEFAULT_CHECKPOINT_BYTES`]).

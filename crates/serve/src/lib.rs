@@ -18,27 +18,36 @@
 //! datasets, both sides' tile forests reused from the
 //! `(DatasetId, DataVersion)`-keyed cache.
 //!
+//! There is one way to start a service and one service type:
+//! [`ServiceBuilder::build`] / [`ServiceBuilder::build_catalog`] return
+//! a [`ShardedService`], a scatter-gather router over N in-process
+//! shards (one by default — the unsharded deployment, where every read
+//! passes straight through to the single shard). Requests go in through
+//! [`ShardedService::submit`] or the typed [`DatasetClient`]
+//! ([`ShardedService::dataset`]); both are the same request.
+//!
 //! ```text
-//!  clients                     service                        catalog
+//!  clients        router            shard i (×N)                    catalog
 //!  ───────┐
-//!  submit ├─▶ bounded MPMC ─▶ dispatcher: micro-batch ─▶ "roads" store (v3)
-//!  submit │      queue         coalesced PER DATASET   ─▶ "pois"  store (v17)
-//!  submit ├─◀ completion ◀─── fulfil handles ◀────────── ForestCache keyed
-//!  ───────┘    handles                                   (DatasetId, version)
+//!  submit ├─▶ plan + scatter ─▶ bounded MPMC ─▶ micro-batch ─▶ "roads" store (v3)
+//!  submit │   (tile ranges)        queue      PER DATASET   ─▶ "pois"  store (v17)
+//!  submit ├─◀ gather + merge ◀── completion ◀─ fulfil ◀───── ForestCache keyed
+//!  ───────┘                       handles                   (DatasetId, version)
 //! ```
 //!
 //! Properties the tests pin down:
 //!
 //! * **Transparency** — a batched answer is byte-identical to calling
-//!   the executor directly with the same request; batching changes
+//!   the [`cbb_engine::DatasetStore`] directly with the same request,
+//!   and a sharded answer to a one-shard one; batching changes
 //!   *when* work runs, never *what* it computes.
 //! * **Isolation** — writes to dataset A bump only A's version and
 //!   invalidate only A's cache keys; concurrent reads of dataset B
 //!   never block on them and observe no change.
-//! * **Graceful shutdown** — [`QueryService::shutdown`] closes
-//!   admission, then answers everything already accepted (admin ops
-//!   included) before the dispatchers exit; no request is dropped, no
-//!   waiter hangs.
+//! * **Graceful shutdown** — [`ShardedService::shutdown`] closes
+//!   admission on every shard, then answers everything already accepted
+//!   (admin ops included) before the dispatchers exit; no request is
+//!   dropped, no waiter hangs.
 //! * **Version-keyed reuse** — per-tile trees are built once per
 //!   `(dataset, version)` and served from the
 //!   [`cbb_engine::ForestCache`] across requests; repeated (cross-)
@@ -69,7 +78,6 @@ pub mod queue;
 pub mod request;
 pub mod router;
 pub mod service;
-pub mod shard;
 pub mod stats;
 
 pub use builder::ServiceBuilder;
@@ -78,14 +86,13 @@ pub use cbb_engine::{
     Update, UpdateResult,
 };
 pub use cbb_telemetry::{HistogramSnapshot, SlowQuery, Span, TelemetryConfig, TelemetrySnapshot};
-pub use client::{ClientResult, DatasetClient, SubmitRequest};
+pub use client::{ClientResult, DatasetClient};
 pub use durability::{DurabilityConfig, DEFAULT_CHECKPOINT_BYTES};
 pub use handle::{Canceled, CompletionHandle};
-pub use queue::{Closed, TryPushError};
+pub use queue::Closed;
 pub use request::{Completion, Request, RequestError, RequestKind, Response, UpdateSummary};
 pub use router::{ShardFitting, ShardedService};
-pub use service::{QueryService, Scrape, ServiceConfig, DEFAULT_DATASET};
-pub use shard::{InProcessShard, Shard};
+pub use service::{Scrape, ServiceConfig, DEFAULT_DATASET};
 pub use stats::{DatasetReport, ServiceReport};
 
 #[cfg(test)]
@@ -100,8 +107,7 @@ mod tests {
     fn end_to_end_smoke() {
         let r = |x: f64, y: f64| Rect::new(Point([x, y]), Point([x + 2.0, y + 2.0]));
         let objects = vec![r(0.0, 0.0), r(5.0, 5.0), r(9.0, 9.0)];
-        let service = QueryService::start(
-            ServiceConfig::default(),
+        let service = ServiceBuilder::new().build(
             UniformGrid::new(Rect::new(Point([0.0, 0.0]), Point([12.0, 12.0])), 2),
             objects,
             TreeConfig::tiny(Variant::RStar),

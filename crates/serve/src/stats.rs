@@ -23,7 +23,8 @@ pub(crate) mod names {
     pub const SUBMITTED: &str = "cbb_requests_submitted_total";
     /// Requests refused (backpressure or closed service).
     pub const REJECTED: &str = "cbb_requests_rejected_total";
-    /// `try_submit` refusals due to a full queue specifically.
+    /// Refusals due to a full queue specifically (load shed). Admission
+    /// blocks on a full queue instead, so the series reads 0.
     pub const SHED: &str = "cbb_requests_shed_total";
     /// Requests answered (handles fulfilled).
     pub const COMPLETED: &str = "cbb_requests_completed_total";
@@ -170,7 +171,7 @@ impl ServiceStats {
             ),
             shed: registry.counter(
                 names::SHED,
-                "try_submit refusals due to a full queue (load shed).",
+                "Refusals due to a full queue (load shed); admission blocks instead.",
                 &[],
             ),
             completed: registry.counter(
@@ -536,11 +537,11 @@ impl DatasetReport {
 pub struct ServiceReport {
     /// Requests admitted to the queue.
     pub submitted: u64,
-    /// Requests refused by `try_submit` backpressure or closure.
+    /// Requests refused because admission was closed.
     pub rejected: u64,
     /// The subset of [`Self::rejected`] refused specifically because
-    /// the queue was full (`try_submit` load shedding) — closure
-    /// refusals are not sheds.
+    /// the queue was full (load shedding). Admission blocks on a full
+    /// queue instead of shedding, so this reads 0.
     pub shed: u64,
     /// Requests admitted but not yet picked up by a dispatcher at
     /// snapshot time.

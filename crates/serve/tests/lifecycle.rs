@@ -9,12 +9,11 @@ use cbb_datasets::skew::clustered_with_layout;
 use cbb_engine::{DataVersion, JoinAlgo, UniformGrid};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{TreeConfig, Variant};
-use cbb_serve::{QueryService, Request, ServiceConfig};
+use cbb_serve::{Request, ServiceBuilder, ServiceConfig, ShardedService};
 
-fn service(config: ServiceConfig, n: usize) -> (QueryService<2, UniformGrid<2>>, Vec<Rect<2>>) {
+fn service(config: ServiceConfig, n: usize) -> (ShardedService<2, UniformGrid<2>>, Vec<Rect<2>>) {
     let data = clustered_with_layout::<2>(n, 5, 40_000.0, 0.2, 3, 3);
-    let svc = QueryService::start(
-        config,
+    let svc = ServiceBuilder::from_config(config).build(
         UniformGrid::new(data.domain, 4),
         data.boxes.clone(),
         TreeConfig::tiny(Variant::RStar),
@@ -88,11 +87,15 @@ fn drop_is_a_graceful_shutdown() {
 
 /// The ROADMAP cache item, end to end: repeated joins on one data
 /// version build the tile trees exactly once; bumping the version via
-/// `swap_data` rebuilds exactly once more; pair counts are stable.
+/// `swap_dataset` rebuilds exactly once more; pair counts are stable.
 #[test]
 fn join_tree_cache_skips_rebuilds_until_version_bump() {
     let (svc, boxes) = service(ServiceConfig::default(), 1_200);
-    assert_eq!(svc.data_version(), DataVersion(0));
+    assert_eq!(
+        svc.dataset_version(svc.default_dataset())
+            .expect("default dataset exists"),
+        DataVersion(0)
+    );
     let probes: Vec<Rect<2>> = (0..300).map(|i| some_query(2_000 + i)).collect();
     let join = |algo| {
         svc.submit(Request::Join {
@@ -122,8 +125,13 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
     assert_eq!(report.forest_hits, 3, "every join hit the cached forest");
 
     // Same data under a bumped version: exactly one rebuild, same pairs.
-    svc.swap_data(boxes.clone());
-    assert_eq!(svc.data_version(), DataVersion(1));
+    svc.swap_dataset(svc.default_dataset(), boxes.clone())
+        .expect("default dataset exists");
+    assert_eq!(
+        svc.dataset_version(svc.default_dataset())
+            .expect("default dataset exists"),
+        DataVersion(1)
+    );
     let after_swap = join(JoinAlgo::Stt);
     assert_eq!(after_swap, first, "same data ⇒ same join, rebuilt trees");
     let report = svc.report();
@@ -135,8 +143,13 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
 
     // Different data actually changes answers (the version is not
     // cosmetic): drop half the boxes.
-    svc.swap_data(boxes[..boxes.len() / 2].to_vec());
-    assert_eq!(svc.data_version(), DataVersion(2));
+    svc.swap_dataset(svc.default_dataset(), boxes[..boxes.len() / 2].to_vec())
+        .expect("default dataset exists");
+    assert_eq!(
+        svc.dataset_version(svc.default_dataset())
+            .expect("default dataset exists"),
+        DataVersion(2)
+    );
     let shrunk = join(JoinAlgo::Stt);
     assert!(
         shrunk.pairs < first.pairs,
@@ -154,7 +167,7 @@ fn join_tree_cache_skips_rebuilds_until_version_bump() {
 fn swap_data_changes_range_answers() {
     let (svc, boxes) = service(ServiceConfig::default(), 900);
     let q = Rect::new(Point([0.0, 0.0]), Point([1_000_000.0, 1_000_000.0]));
-    let all = |svc: &QueryService<2, UniformGrid<2>>| {
+    let all = |svc: &ShardedService<2, UniformGrid<2>>| {
         svc.submit(Request::Range {
             dataset: svc.default_dataset(),
             query: q,
@@ -168,19 +181,20 @@ fn swap_data_changes_range_answers() {
         .len()
     };
     assert_eq!(all(&svc), 900);
-    svc.swap_data(boxes[..100].to_vec());
+    svc.swap_dataset(svc.default_dataset(), boxes[..100].to_vec())
+        .expect("default dataset exists");
     assert_eq!(all(&svc), 100);
     svc.shutdown();
 }
 
-/// `swap_data_with` re-fits the partitioner alongside the data: the new
+/// `swap_dataset_with` re-fits the partitioner alongside the data: the new
 /// tiling (different tile count) serves correct answers and counts as a
 /// normal version bump.
 #[test]
 fn swap_data_with_refits_the_partitioner() {
     let (svc, boxes) = service(ServiceConfig::default(), 700);
     let q = Rect::new(Point([0.0, 0.0]), Point([1_000_000.0, 1_000_000.0]));
-    let count_all = |svc: &QueryService<2, UniformGrid<2>>| {
+    let count_all = |svc: &ShardedService<2, UniformGrid<2>>| {
         svc.submit(Request::Range {
             dataset: svc.default_dataset(),
             query: q,
@@ -196,11 +210,20 @@ fn swap_data_with_refits_the_partitioner() {
     assert_eq!(count_all(&svc), 700);
     // Re-fit to a finer grid over the same data: answers unchanged.
     let domain = Rect::new(Point([0.0, 0.0]), Point([1_000_000.0, 1_000_000.0]));
-    svc.swap_data_with(UniformGrid::new(domain, 7), boxes.clone());
-    assert_eq!(svc.data_version(), DataVersion(1));
+    svc.swap_dataset_with(
+        svc.default_dataset(),
+        UniformGrid::new(domain, 7),
+        boxes.clone(),
+    )
+    .expect("default dataset exists");
+    assert_eq!(
+        svc.dataset_version(svc.default_dataset())
+            .expect("default dataset exists"),
+        DataVersion(1)
+    );
     assert_eq!(count_all(&svc), 700);
     let probes: Vec<Rect<2>> = (0..100).map(|i| some_query(9_000 + i)).collect();
-    let pairs = |svc: &QueryService<2, UniformGrid<2>>| {
+    let pairs = |svc: &ShardedService<2, UniformGrid<2>>| {
         svc.submit(Request::Join {
             dataset: svc.default_dataset(),
             probes: probes.clone(),
@@ -215,7 +238,8 @@ fn swap_data_with_refits_the_partitioner() {
         .pairs
     };
     let under_7 = pairs(&svc);
-    svc.swap_data_with(UniformGrid::new(domain, 3), boxes);
+    svc.swap_dataset_with(svc.default_dataset(), UniformGrid::new(domain, 3), boxes)
+        .expect("default dataset exists");
     let under_3 = pairs(&svc);
     assert_eq!(under_7, under_3, "tiling never changes join answers");
     assert_eq!(svc.report().forest_builds, 3);

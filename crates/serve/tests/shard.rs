@@ -1,5 +1,5 @@
 //! Shard oracle: an N-shard [`ShardedService`] answers **byte-equal**
-//! to a single-store [`QueryService`] on the same seeded data, for
+//! to a one-shard service (a single store) on the same seeded data, for
 //! every request kind, across shard counts, partitioner kinds, and
 //! both shard-fitting modes — plus the router edge cases (boundary
 //! straddling, empty shards, atomic admin fan-out, cross-join dedup).
@@ -14,8 +14,7 @@ use cbb_engine::{
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{DataId, TreeConfig, Variant};
 use cbb_serve::{
-    QueryService, Request, RequestError, Response, ServiceBuilder, ServiceConfig, ShardFitting,
-    ShardedService, SubmitRequest,
+    Request, RequestError, Response, ServiceBuilder, ServiceConfig, ShardFitting, ShardedService,
 };
 
 fn tree() -> TreeConfig<2> {
@@ -63,7 +62,7 @@ fn range_queries(domain: &Rect<2>, n: usize, seed: u64) -> Vec<Rect<2>> {
 /// Submit one request to both services and assert byte-equal
 /// responses.
 fn assert_same<P>(
-    single: &QueryService<2, P>,
+    single: &ShardedService<2, P>,
     sharded: &ShardedService<2, P>,
     request: Request<2, P>,
     what: &str,
@@ -107,8 +106,7 @@ fn oracle_roundtrip<P>(
         + Sync
         + 'static,
 {
-    let single = QueryService::start(
-        config(),
+    let single = ServiceBuilder::from_config(config()).build(
         partitioner.clone(),
         objects.clone(),
         tree(),
@@ -264,9 +262,21 @@ fn oracle_roundtrip<P>(
         &format!("post-write knn ({shards} shards)"),
     );
 
+    // The one-shard reference passed every request straight through to
+    // its shard, so none of its answers came from the gather/merge code
+    // the sharded side is checked against.
+    let single_shard = single
+        .scrape()
+        .snapshot
+        .counter("cbb_router_single_shard_total", &[]);
     let single_report = single.shutdown();
     let sharded_report = sharded.shutdown();
     assert_eq!(single_report.completed, single_report.submitted);
+    assert_eq!(
+        single_shard,
+        Some(single_report.completed),
+        "the reference bypasses the gather for every request it answered"
+    );
     assert!(sharded_report.completed >= single_report.completed);
 }
 
@@ -334,7 +344,7 @@ fn cross_join_oracle_two_datasets() {
     let p_roads = AdaptiveGrid::from_sample(domain, [3, 3], &roads);
     let p_parcels = AdaptiveGrid::from_sample(domain, [4, 2], &parcels);
     for (shards, fitting) in [(2, ShardFitting::Balanced), (3, ShardFitting::Fitted)] {
-        let single = QueryService::start_catalog(config(), tree(), clip());
+        let single = ServiceBuilder::from_config(config()).build_catalog(tree(), clip());
         let sharded = ServiceBuilder::from_config(config())
             .shards(shards)
             .shard_fitting(fitting)
@@ -550,9 +560,8 @@ fn typed_client_equals_enum_path() {
         .into_updated();
     assert_eq!(summary.results.len(), 1);
 
-    // The same trait drives the unsharded service.
-    let single = QueryService::start(
-        config(),
+    // The same client drives a one-shard service.
+    let single = ServiceBuilder::from_config(config()).build(
         UniformGrid::new(domain, 3),
         objects,
         tree(),
@@ -566,7 +575,7 @@ fn typed_client_equals_enum_path() {
 }
 
 fn typed_or_enum_range_reference(
-    service: &QueryService<2, UniformGrid<2>>,
+    service: &ShardedService<2, UniformGrid<2>>,
     q: Rect<2>,
 ) -> Response {
     service
@@ -620,5 +629,66 @@ fn router_scrape_exposes_scatter_gather() {
         "kNN scatters to every shard"
     );
     assert_eq!(sharded.shard_scrapes().len(), 2);
+    sharded.shutdown();
+}
+
+/// `slow_queries()` merges every shard's slow-query ring: with ranges
+/// routed to one shard each, the slowest request of *either* shard is
+/// in the merged list, and the list is ordered slowest first.
+#[test]
+fn slow_queries_merge_every_shard_ring() {
+    let (domain, objects) = dataset(1_200, 91);
+    let grid = UniformGrid::new(domain, 4);
+    let sharded =
+        ServiceBuilder::from_config(config())
+            .shards(2)
+            .build(grid, objects, tree(), clip());
+    let ds = sharded.default_dataset();
+    let map = sharded
+        .dataset_shard_map(ds)
+        .expect("default dataset is routed");
+    let mut slowest = [0u64; 2];
+    let mut answered = [0usize; 2];
+    for q in range_queries(&domain, 200, 0x510E) {
+        let shards = map.covering_shards(&grid.covering_tiles(&q));
+        let [s] = shards[..] else { continue };
+        if answered[s] == 24 {
+            continue;
+        }
+        let completion = sharded
+            .submit(Request::Range {
+                dataset: ds,
+                query: q,
+                use_clips: true,
+            })
+            .unwrap()
+            .wait()
+            .unwrap();
+        slowest[s] = slowest[s].max(completion.latency().as_nanos() as u64);
+        answered[s] += 1;
+    }
+    assert!(
+        answered.iter().all(|&n| n > 0),
+        "both shards answered ranges: {answered:?}"
+    );
+
+    let merged = sharded.slow_queries();
+    let capacity = cbb_serve::TelemetryConfig::default().slow_query_capacity;
+    assert_eq!(
+        merged.len(),
+        answered.iter().map(|&n| n.min(capacity)).sum::<usize>(),
+        "every shard's ring is merged"
+    );
+    assert!(
+        merged.windows(2).all(|w| w[0].total_ns >= w[1].total_ns),
+        "slowest first"
+    );
+    for (s, ns) in slowest.iter().enumerate() {
+        assert!(
+            merged.iter().any(|q| q.total_ns == *ns),
+            "shard {s}'s slowest request ({ns} ns) is in the merged list"
+        );
+    }
+    assert_eq!(merged[0].total_ns, slowest[0].max(slowest[1]));
     sharded.shutdown();
 }

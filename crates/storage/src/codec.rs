@@ -11,11 +11,54 @@
 //! ```text
 //! [count: u16] then count × [mask: u8][coord: D×f64]
 //! ```
+//!
+//! The decoders are total: a buffer too short for the header or for the
+//! `count` entries it declares is a [`DecodeError`], never a panic or an
+//! allocation sized by untrusted bytes.
 
 use cbb_core::ClipPoint;
 use cbb_geom::{CornerMask, Point, Rect};
 use cbb_rtree::config::{entry_bytes, NODE_HEADER_BYTES, PAGE_SIZE};
 use cbb_rtree::{Child, DataId, Entry, Node, NodeId};
+
+/// A byte buffer that is not a valid node page or clip record: it ends
+/// before the header, or before the `count` entries the header declares.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DecodeError {
+    /// Bytes the header (and its declared entries) need.
+    pub needed: usize,
+    /// Bytes the buffer has.
+    pub len: usize,
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "truncated record: needs {} bytes, has {}",
+            self.needed, self.len
+        )
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// `Ok` when `buf` holds a `header`-byte header plus `count` records of
+/// `each` bytes (overflow counts as too short).
+fn check_len(buf: &[u8], header: usize, count: usize, each: usize) -> Result<(), DecodeError> {
+    let needed = count
+        .checked_mul(each)
+        .and_then(|body| body.checked_add(header))
+        .unwrap_or(usize::MAX);
+    if buf.len() < needed {
+        Err(DecodeError {
+            needed,
+            len: buf.len(),
+        })
+    } else {
+        Ok(())
+    }
+}
 
 /// Serialize a node into a fresh page buffer.
 pub fn encode_node<const D: usize>(node: &Node<D>) -> Vec<u8> {
@@ -48,11 +91,14 @@ pub fn encode_node<const D: usize>(node: &Node<D>) -> Vec<u8> {
     buf
 }
 
-/// Deserialize a node from a page buffer.
-pub fn decode_node<const D: usize>(buf: &[u8]) -> Node<D> {
+/// Deserialize a node from a page buffer. The entry count is checked
+/// against the buffer length before anything is allocated or read.
+pub fn decode_node<const D: usize>(buf: &[u8]) -> Result<Node<D>, DecodeError> {
+    check_len(buf, NODE_HEADER_BYTES, 0, 0)?;
     let level = u32::from_le_bytes(buf[0..4].try_into().expect("header"));
     let count = u32::from_le_bytes(buf[4..8].try_into().expect("header")) as usize;
     let lhv = u64::from_le_bytes(buf[8..16].try_into().expect("header"));
+    check_len(buf, NODE_HEADER_BYTES, count, entry_bytes(D))?;
     let mut node = Node::new(level);
     node.lhv = lhv;
     node.entries.reserve_exact(count);
@@ -84,7 +130,7 @@ pub fn decode_node<const D: usize>(buf: &[u8]) -> Node<D> {
         });
     }
     node.recompute_mbb();
-    node
+    Ok(node)
 }
 
 /// Bytes one clip point occupies on disk.
@@ -110,8 +156,10 @@ pub fn encode_clips<const D: usize>(clips: &[ClipPoint<D>]) -> Vec<u8> {
 
 /// Deserialize one node's clip points (scores are not persisted — they
 /// only order the points, and the order is preserved on disk).
-pub fn decode_clips<const D: usize>(buf: &[u8]) -> Vec<ClipPoint<D>> {
+pub fn decode_clips<const D: usize>(buf: &[u8]) -> Result<Vec<ClipPoint<D>>, DecodeError> {
+    check_len(buf, 2, 0, 0)?;
     let count = u16::from_le_bytes(buf[0..2].try_into().expect("count")) as usize;
+    check_len(buf, 2, count, clip_point_bytes(D))?;
     let mut out = Vec::with_capacity(count);
     let mut off = 2;
     for _ in 0..count {
@@ -124,7 +172,7 @@ pub fn decode_clips<const D: usize>(buf: &[u8]) -> Vec<ClipPoint<D>> {
         }
         out.push(ClipPoint::new(mask, Point(coord)));
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -150,7 +198,7 @@ mod tests {
         let n = sample_node();
         let buf = encode_node(&n);
         assert_eq!(buf.len(), PAGE_SIZE);
-        let back: Node<2> = decode_node(&buf);
+        let back: Node<2> = decode_node(&buf).unwrap();
         assert_eq!(back.level, 0);
         assert_eq!(back.lhv, n.lhv);
         assert_eq!(back.entries.len(), n.entries.len());
@@ -169,7 +217,7 @@ mod tests {
             NodeId(17),
         ));
         n.recompute_mbb();
-        let back: Node<3> = decode_node(&encode_node(&n));
+        let back: Node<3> = decode_node(&encode_node(&n)).unwrap();
         assert_eq!(back.level, 2);
         assert_eq!(back.entries[0].child, Child::Node(NodeId(17)));
     }
@@ -186,7 +234,7 @@ mod tests {
         }
         n.recompute_mbb();
         let buf = encode_node(&n);
-        let back: Node<2> = decode_node(&buf);
+        let back: Node<2> = decode_node(&buf).unwrap();
         assert_eq!(back.entries.len(), cap);
     }
 
@@ -212,11 +260,23 @@ mod tests {
         ];
         let buf = encode_clips(&clips);
         assert_eq!(buf.len(), 2 + 2 * clip_point_bytes(2));
-        let back: Vec<ClipPoint<2>> = decode_clips(&buf);
+        let back: Vec<ClipPoint<2>> = decode_clips(&buf).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].mask, clips[0].mask);
         assert_eq!(back[0].coord, clips[0].coord);
         assert_eq!(back[1].coord, clips[1].coord);
+    }
+
+    #[test]
+    fn decoders_reject_counts_beyond_the_buffer() {
+        let mut page = encode_node(&sample_node());
+        // Top bit of the entry count: 2^31 + 10 entries on one page.
+        page[7] ^= 0x80;
+        assert!(decode_node::<2>(&page).is_err());
+        assert!(decode_node::<2>(&page[..NODE_HEADER_BYTES - 1]).is_err());
+        let clips = encode_clips(&[ClipPoint::new(CornerMask::new(0b01), Point([1.5, 2.5]))]);
+        assert!(decode_clips::<2>(&clips[..clips.len() - 1]).is_err());
+        assert!(decode_clips::<2>(&clips[..1]).is_err());
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl<const D: usize> DiskRTree<D> {
         stats.page_requests += 1;
         let misses_before = self.pool.stats.misses;
         let buf = self.pool.get(store, page);
-        let node = decode_node(buf);
+        let node = decode_node(buf).expect("pages hold nodes this tree encoded");
         if self.pool.stats.misses > misses_before {
             stats.page_faults += 1;
         }

@@ -34,11 +34,11 @@ fn main() {
 
     // An empty catalog; each layer gets the partitioner that fits its
     // character — AnyPartitioner lets one service mix kinds.
-    let service: QueryService<2, AnyPartitioner<2>> = QueryService::start_catalog(
-        ServiceConfig::default(),
-        TreeConfig::paper_default(Variant::RStar),
-        ClipConfig::paper_default::<2>(ClipMethod::Stairline),
-    );
+    let service: ShardedService<2, AnyPartitioner<2>> =
+        ServiceBuilder::from_config(ServiceConfig::default()).build_catalog(
+            TreeConfig::paper_default(Variant::RStar),
+            ClipConfig::paper_default::<2>(ClipMethod::Stairline),
+        );
     let roads_id = service
         .create_dataset(
             "roads",

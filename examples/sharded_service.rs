@@ -1,9 +1,8 @@
 //! A sharded scatter-gather service and the typed client API in front
-//! of it: the same catalog surface as `QueryService`, served by N
-//! in-process shards. Arenas are mirrored (every shard holds every
+//! of it: the one service type, here served by N in-process shards. Arenas are mirrored (every shard holds every
 //! object), forests are sharded (each shard indexes a contiguous tile
 //! range), and the reference-point rule makes each merge exact — a
-//! 4-shard answer is byte-identical to the single-store one.
+//! 4-shard answer is byte-identical to the one-shard one.
 //!
 //! ```text
 //! cargo run --release --example sharded_service
@@ -21,8 +20,8 @@ fn main() {
     let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
     println!("dataset: {n} clustered boxes, adaptive 6×6 partitioning");
 
-    // One builder call replaces QueryService::start: shard count and
-    // tile fitting are just knobs. Fitted ranges spread the clustered
+    // One builder call starts the service: shard count and tile
+    // fitting are just knobs. Fitted ranges spread the clustered
     // hot region across shards instead of landing it on one.
     let service = ServiceBuilder::new()
         .shards(4)

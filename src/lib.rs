@@ -46,8 +46,8 @@
 //! | [`datasets`] | `cbb-datasets` | the seven benchmark dataset stand-ins + queries |
 //! | [`bounding`] | `cbb-bounding` | MBC / RMBB / k-corner / hull comparisons |
 //! | [`joins`] | `cbb-joins` | INLJ and STT spatial joins |
-//! | [`engine`] | `cbb-engine` | parallel partitioned join + batched query execution |
-//! | [`serve`] | `cbb-serve` | async query service: request queue → micro-batched executor |
+//! | [`engine`] | `cbb-engine` | parallel partitioned join + the `DatasetStore` query handle |
+//! | [`serve`] | `cbb-serve` | query service: `ServiceBuilder` → sharded, micro-batched `ShardedService` |
 //! | [`telemetry`] | `cbb-telemetry` | metrics registry, phase tracing, slow-query ring, scrape exposition |
 
 pub use cbb_bounding as bounding;
@@ -66,10 +66,10 @@ pub mod prelude {
     pub use cbb_core::{Cbb, ClipConfig, ClipMethod, ClipPoint};
     pub use cbb_engine::{
         parallel_range_queries, partitioned_join, partitioned_join_forests, partitioned_join_with,
-        AdaptiveGrid, AnyPartitioner, BatchExecutor, BatchOutcome, Catalog, CatalogError,
-        CompactionPolicy, DataVersion, DatasetId, DatasetStore, ForestCache, ForestKey, JoinAlgo,
-        JoinPlan, KnnOutcome, Partitioner, QuadtreePartitioner, SplitPolicy, TileForest,
-        UniformGrid, Update, UpdateOutcome, UpdateResult,
+        AdaptiveGrid, AnyPartitioner, BatchOutcome, Catalog, CatalogError, CompactionPolicy,
+        DataVersion, DatasetId, DatasetStore, ForestCache, ForestKey, JoinAlgo, JoinPlan,
+        KnnOutcome, Partitioner, QuadtreePartitioner, SplitPolicy, TileForest, UniformGrid, Update,
+        UpdateOutcome, UpdateResult,
     };
     pub use cbb_geom::{CornerMask, Point, Rect};
     pub use cbb_joins::JoinResult;
@@ -77,10 +77,9 @@ pub mod prelude {
         AccessStats, ClippedRTree, DataId, Neighbor, NodeId, RTree, TreeConfig, Variant,
     };
     pub use cbb_serve::{
-        DatasetClient, DatasetReport, DurabilityConfig, InProcessShard, QueryService, Request,
-        RequestError, RequestKind, Response, Scrape, ServiceBuilder, ServiceConfig, ServiceReport,
-        Shard, ShardFitting, ShardMap, ShardTiling, ShardedService, SubmitRequest, UpdateSummary,
-        DEFAULT_DATASET,
+        DatasetClient, DatasetReport, DurabilityConfig, Request, RequestError, RequestKind,
+        Response, Scrape, ServiceBuilder, ServiceConfig, ServiceReport, ShardFitting, ShardMap,
+        ShardTiling, ShardedService, UpdateSummary, DEFAULT_DATASET,
     };
     pub use cbb_telemetry::{
         Histogram, HistogramSnapshot, Phase, PhaseTimer, Registry, SlowQuery, SlowQueryRing, Span,
