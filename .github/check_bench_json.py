@@ -22,13 +22,6 @@ baseline, and the plane sweep must perform strictly fewer overlap
 tests than INLJ (the machine-independent claim the sweep exists to
 make — wall-clock is reported but never gated).
 
-`BENCH_fusion.json` carries the shared-scan batched-execution gates:
-fused answers must have compared byte-identical to per-query descents
-on every row, fused tiles must do zero tree node accesses, and at the
-widest batch (>= 32 must be present) the fused path must do strictly
-less total counted work (node accesses + overlap tests) than the
-per-query path — again machine-independent, wall-clock never gated.
-
 `BENCH_paper.json` gates the direction of the paper's headline result
 (Table I, clipping cuts leaf I/O): in every variant x profile cell both
 clip methods reduce leaf accesses (> 0) and stairline saves at least as
@@ -141,48 +134,6 @@ def check_engine(path, doc):
     return bool(errors)
 
 
-def check_fusion(path, doc):
-    """Validate the shared-scan fusion report's counter gates."""
-    errors = []
-    rows = doc.get("rows")
-    if not isinstance(rows, list) or not rows:
-        errors.append("missing or empty rows array")
-        rows = []
-    for row in rows:
-        label = f"row batch={row.get('batch')!r}"
-        if row.get("answers_identical") != 1:
-            errors.append(
-                f"{label}: answers_identical "
-                f"{row.get('answers_identical')!r} != 1"
-            )
-        if row.get("fused_node_accesses") != 0:
-            errors.append(
-                f"{label}: fused_node_accesses "
-                f"{row.get('fused_node_accesses')!r} != 0"
-            )
-    wide = [row for row in rows if isinstance(row.get("batch"), int)]
-    if not any(row["batch"] >= 32 for row in wide):
-        errors.append("no row with batch >= 32")
-    elif not errors:
-        top = max(wide, key=lambda row: row["batch"])
-        descend = top["descend_node_accesses"] + top["descend_overlap_tests"]
-        fused = top["fused_node_accesses"] + top["fused_overlap_tests"]
-        if fused >= descend:
-            errors.append(
-                f"batch {top['batch']}: fused work {fused} >= "
-                f"per-query work {descend}"
-            )
-    for err in errors:
-        print(f"{path}: {err}", file=sys.stderr)
-    if not errors:
-        print(
-            f"{path}: OK ({len(rows)} batch sizes, answers identical, "
-            f"fused work {fused} < per-query {descend} at batch "
-            f"{top['batch']})"
-        )
-    return bool(errors)
-
-
 def check_paper(path, doc):
     """Validate the Table I report's direction-only gates."""
     errors = []
@@ -258,9 +209,6 @@ def main(paths):
             continue
         if os.path.basename(path) == "BENCH_engine.json":
             failed |= check_engine(path, doc)
-            continue
-        if os.path.basename(path) == "BENCH_fusion.json":
-            failed |= check_fusion(path, doc)
             continue
         if os.path.basename(path) == "BENCH_paper.json":
             failed |= check_paper(path, doc)

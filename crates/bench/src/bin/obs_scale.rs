@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use cbb_bench::{header, row, smoke_mode};
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
-use cbb_engine::{AdaptiveGrid, DatasetStore, QueryAlgo};
+use cbb_engine::{AdaptiveGrid, DatasetStore};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{AccessStats, TreeConfig, Variant};
 use cbb_serve::{
@@ -110,10 +110,6 @@ fn main() {
             batch_deadline: Duration::from_millis(1),
             exec_workers: EXEC_WORKERS,
             queue_capacity: requests.max(1),
-            // The oracle below runs per-query descents; a fused
-            // (`Auto`) tile answers identically but counts no node
-            // accesses, so the counter comparison needs the same path.
-            query_algo: QueryAlgo::Descend,
             telemetry,
             ..ServiceConfig::default()
         })

@@ -136,14 +136,6 @@ impl<const D: usize> TileForest<D> {
         )
     }
 
-    /// Whether tile `t`'s columns are already extracted — a non-forcing
-    /// probe of the [`Self::columns`] cache. [`crate::QueryAlgo::Auto`]
-    /// reads this: a tile whose columns are in hand fuses a smaller
-    /// batch than one that would pay the extraction sort first.
-    pub fn columns_cached(&self, t: usize) -> bool {
-        self.columns[t].get().is_some()
-    }
-
     /// Drop tile `t`'s cached columns (its tree changed).
     fn invalidate_columns(&mut self, t: usize) {
         self.columns[t] = OnceLock::new();
@@ -293,33 +285,17 @@ impl<const D: usize> TileForest<D> {
     }
 }
 
-/// Which execution path a batched range run uses per tile.
+/// The execution path of a batched range run. There is one: a
+/// clipped-tree descent per (query, covered tile).
 ///
-/// A micro-batch of range queries against one tile **is** a spatial
-/// join between the query-rect set and the tile's objects, so the
-/// [`cbb_joins::sweep_queries`] kernel can answer the whole batch with
-/// ONE shared scan over the tile's cached columnar layout instead of
-/// `batch_size` independent tree descents. Answers are **byte-equal**
-/// across all three variants for every workload — per-query result
-/// lists are canonically sorted ascending by [`DataId`] on every path
-/// (the oracle tests pin this across partitioners, clip settings and
-/// split policies); only the work counters differ (the fused path does
-/// zero node accesses and counts sweep `overlap_tests` instead).
+/// This one-variant enum exists only because the serving benchmark
+/// names it (through [`crate::DatasetStore::run_with`] and
+/// `ServiceConfig::query_algo`); it goes with the next change to the
+/// benchmark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryAlgo {
-    /// One clipped-tree descent per (query, covered tile) — the
-    /// classic per-query path, and the baseline the fused path is
-    /// measured against.
+    /// One clipped-tree descent per (query, covered tile).
     Descend,
-    /// Sort the batch's query rects into their own
-    /// [`TileColumns`] and answer each populated tile with one plane
-    /// sweep against the tile's cached columns.
-    SharedSweep,
-    /// Choose per tile, deterministically, from the batch size landing
-    /// on the tile, the tile's cardinality, and whether the tile's
-    /// columns are already extracted — the thresholds live in
-    /// [`crate::AutoPolicy`] (see [`crate::AutoPolicy::fuse_tile`]).
-    Auto,
 }
 
 /// Merged outcome of a batched query run.
@@ -327,8 +303,7 @@ pub enum QueryAlgo {
 pub struct BatchOutcome {
     /// Result ids per query, in workload order (same order the queries
     /// were given). Each list is sorted ascending by id — the canonical
-    /// order every execution path produces, regardless of tile visit
-    /// order and of per-query vs fused execution.
+    /// order, regardless of tile visit order.
     pub results: Vec<Vec<DataId>>,
     /// Access counters summed over all workers.
     pub stats: AccessStats,
@@ -336,13 +311,6 @@ pub struct BatchOutcome {
     /// [`Self::stats`]) — what telemetry layers attribute to individual
     /// requests.
     pub per_query: Vec<AccessStats>,
-    /// Populated tiles answered by per-query descents.
-    pub tiles_descend: u64,
-    /// Populated tiles answered by one fused shared sweep.
-    pub tiles_fused: u64,
-    /// Per fused tile, how many of the batch's queries rode its shared
-    /// sweep (the fused-width distribution telemetry exposes).
-    pub fused_widths: Vec<u64>,
 }
 
 impl BatchOutcome {

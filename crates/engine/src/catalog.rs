@@ -32,7 +32,7 @@ use std::sync::{Arc, RwLock};
 
 use cbb_core::{clipped_min_dist_sq, ClipConfig};
 use cbb_geom::{Point, Rect};
-use cbb_joins::{reference_point, sweep_queries_scan, SweepSide, TileColumns};
+use cbb_joins::reference_point;
 use cbb_rtree::{push_neighbor, AccessStats, DataId, Neighbor, TreeConfig};
 
 use crate::batch::{BatchOutcome, KnnOutcome, QueryAlgo, TileForest};
@@ -605,8 +605,8 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
 
     /// Execute `queries` on `workers` threads. With `use_clips = false`
     /// the probes run on the base trees (the unclipped baseline on the
-    /// same indexes). Shorthand for [`Self::run_with`] on the classic
-    /// per-query path ([`QueryAlgo::Descend`]).
+    /// same indexes). Shorthand for [`Self::run_with`] under
+    /// [`SplitPolicy::Auto`].
     pub fn run(&self, queries: &[Rect<D>], workers: usize, use_clips: bool) -> BatchOutcome {
         self.run_with(
             queries,
@@ -619,36 +619,26 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
     }
 
     /// Execute `queries` on `workers` threads under an explicit
-    /// execution algorithm, [`AutoPolicy`] and intra-tile decomposition
-    /// policy.
+    /// intra-tile decomposition policy.
     ///
-    /// The batch is first grouped per covered, populated tile. Each
-    /// tile then answers its slice of the batch either by per-query
-    /// tree descents ([`QueryAlgo::Descend`]) or by ONE shared plane
-    /// sweep of the batch's query rects against the tile's cached
-    /// columnar layout ([`QueryAlgo::SharedSweep`], the
-    /// [`cbb_joins::sweep_queries`] kernel). [`QueryAlgo::Auto`]
-    /// resolves per tile — **before** any decomposition, from the
-    /// number of batch queries covering the tile, the tile's
-    /// cardinality, and whether the tile's columns are already
-    /// extracted — so the resolution (and with it every counter) is
-    /// identical across worker counts and [`SplitPolicy`] choices.
+    /// The batch is grouped per covered, populated tile, and each tile
+    /// answers its slice of the batch with one clipped-tree descent per
+    /// query (Algorithm 2). `split` cuts a hot tile's queries into
+    /// chunks that spread over the workers; chunk sums reproduce the
+    /// whole tile's results and counters exactly, so neither `split`
+    /// nor `workers` changes any output. Each per-query list comes back
+    /// sorted ascending by id, the canonical order.
     ///
-    /// All variants return byte-equal `results` (each per-query list
-    /// sorted ascending by id, the canonical order); only the work
-    /// counters differ. Fused tiles do zero node accesses and charge
-    /// sweep `overlap_tests` (plus raw sweep hits as `results`) to the
-    /// exact query that incurred them, so `per_query` attribution stays
-    /// counter-exact against the aggregate [`cbb_joins::sweep`]. Note
-    /// the fused path never consults clip tables — `use_clips` only
-    /// affects descents (clips prune traversals, never answers).
+    /// `algo` and `policy` are ignored: there is one range execution
+    /// path. They remain only because the serving benchmark calls this
+    /// six-argument form, and go with the next change to it.
     pub fn run_with(
         &self,
         queries: &[Rect<D>],
         workers: usize,
         use_clips: bool,
-        algo: QueryAlgo,
-        policy: &AutoPolicy,
+        _algo: QueryAlgo,
+        _policy: &AutoPolicy,
         split: SplitPolicy,
     ) -> BatchOutcome {
         let n = queries.len();
@@ -667,155 +657,35 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
                 }
             }
         }
-        // Resolve the algorithm per tile and extract fused columns up
-        // front, on the coordinating thread: the cold path and the hot
-        // decomposition path see the very same per-tile decision, and
-        // `Auto` reads the cache state exactly once per tile.
-        struct TilePlan<const D: usize> {
-            t: usize,
-            qs: Vec<u32>,
-            tile_len: usize,
-            fused: Option<(TileColumns<D>, Arc<TileColumns<D>>)>,
-        }
-        let mut plans: Vec<TilePlan<D>> = Vec::with_capacity(by_tile.len());
-        let mut total_work = 0u64;
-        for (t, qs) in by_tile {
-            let tree = self.forest.tree(t).expect("grouped tiles are built");
-            let tile_len = tree.tree.len();
-            let fuse = match algo {
-                QueryAlgo::Descend => false,
-                QueryAlgo::SharedSweep => true,
-                QueryAlgo::Auto => {
-                    policy.fuse_tile(qs.len(), tile_len, self.forest.columns_cached(t))
-                }
-            };
-            total_work += qs.len() as u64 * tile_len.max(1) as u64;
-            let fused = if fuse {
-                outcome.tiles_fused += 1;
-                outcome.fused_widths.push(qs.len() as u64);
-                // Query ids are *local slots* into `qs`, so the sweep
-                // positions map back to workload indices.
-                let items: Vec<(Rect<D>, DataId)> = qs
-                    .iter()
-                    .enumerate()
-                    .map(|(local, &qi)| (queries[qi as usize], DataId(local as u32)))
-                    .collect();
-                let ocols = self.forest.columns(t).expect("grouped tiles are built");
-                Some((TileColumns::from_items(&items), ocols))
-            } else {
-                outcome.tiles_descend += 1;
-                None
-            };
-            plans.push(TilePlan {
-                t,
-                qs,
-                tile_len,
-                fused,
-            });
-        }
-        // Cut each tile's work into tasks: hot tiles decompose into
-        // outer-index ranges (queries for descents and the Left scan,
-        // objects for the Right scan). Chunk sums reproduce the whole
-        // tile's pairs and counters exactly, so the decomposition is
-        // invisible in every output.
-        enum Task {
-            Descend {
-                plan: usize,
-                lo: usize,
-                hi: usize,
-            },
-            Sweep {
-                plan: usize,
-                side: SweepSide,
-                lo: usize,
-                hi: usize,
-            },
-        }
-        let threshold = split.threshold(total_work, workers);
-        let ranges = |outer: usize, inner: usize| -> Vec<(usize, usize)> {
-            let step = match threshold {
-                Some(thr) => (thr / inner.max(1) as u64).max(1) as usize,
-                None => outer.max(1),
-            };
-            (0..outer)
-                .step_by(step)
-                .map(|lo| (lo, (lo + step).min(outer)))
-                .collect()
+        let tile_len = |t: usize| {
+            self.forest
+                .tree(t)
+                .expect("grouped tiles are built")
+                .tree
+                .len()
         };
-        let mut tasks: Vec<Task> = Vec::new();
-        for (pi, plan) in plans.iter().enumerate() {
-            match &plan.fused {
-                Some((qcols, ocols)) => {
-                    for (lo, hi) in ranges(qcols.len(), ocols.len()) {
-                        tasks.push(Task::Sweep {
-                            plan: pi,
-                            side: SweepSide::Left,
-                            lo,
-                            hi,
-                        });
-                    }
-                    for (lo, hi) in ranges(ocols.len(), qcols.len()) {
-                        tasks.push(Task::Sweep {
-                            plan: pi,
-                            side: SweepSide::Right,
-                            lo,
-                            hi,
-                        });
-                    }
-                }
-                None => {
-                    for (lo, hi) in ranges(plan.qs.len(), plan.tile_len) {
-                        tasks.push(Task::Descend { plan: pi, lo, hi });
-                    }
-                }
-            }
+        let total_work: u64 = by_tile
+            .iter()
+            .map(|(&t, qs)| qs.len() as u64 * tile_len(t).max(1) as u64)
+            .sum();
+        // Cut each tile's queries into tasks: a hot tile decomposes into
+        // query ranges sized so each holds about `threshold` work.
+        let threshold = split.threshold(total_work, workers);
+        let mut tasks: Vec<(usize, &[u32])> = Vec::new();
+        for (&t, qs) in &by_tile {
+            let step = match threshold {
+                Some(thr) => (thr / tile_len(t).max(1) as u64).max(1) as usize,
+                None => qs.len().max(1),
+            };
+            tasks.extend(qs.chunks(step).map(|chunk| (t, chunk)));
         }
         let shards = map_chunked(workers, &tasks, |_offset, chunk| {
             let mut out: Vec<(u32, Vec<DataId>, AccessStats)> = Vec::new();
-            for task in chunk {
-                match *task {
-                    Task::Descend { plan, lo, hi } => {
-                        let plan = &plans[plan];
-                        for &qi in &plan.qs[lo..hi] {
-                            let q = &queries[qi as usize];
-                            let mut stats = AccessStats::new();
-                            let kept = self.descend_tile(plan.t, q, use_clips, &mut stats);
-                            out.push((qi, kept, stats));
-                        }
-                    }
-                    Task::Sweep { plan, side, lo, hi } => {
-                        let plan = &plans[plan];
-                        let (qcols, ocols) =
-                            plan.fused.as_ref().expect("sweep tasks target fused tiles");
-                        let mut tests = vec![0u64; qcols.len()];
-                        let mut hits: Vec<Vec<DataId>> = vec![Vec::new(); qcols.len()];
-                        sweep_queries_scan(qcols, ocols, side, lo, hi, &mut tests, &mut |p, id| {
-                            hits[p].push(id)
-                        });
-                        for (pos, ids) in hits.into_iter().enumerate() {
-                            if tests[pos] == 0 && ids.is_empty() {
-                                continue;
-                            }
-                            let qi = plan.qs[qcols.id(pos).0 as usize];
-                            let q = &queries[qi as usize];
-                            let mut stats = AccessStats::new();
-                            stats.overlap_tests = tests[pos];
-                            // Raw sweep hits mirror the tree-query
-                            // `results` semantics: counted before the
-                            // ownership filter.
-                            stats.results = ids.len() as u64;
-                            let kept: Vec<DataId> = ids
-                                .into_iter()
-                                .filter(|id| {
-                                    self.partitioner.owns(
-                                        plan.t,
-                                        &reference_point(q, &self.objects[id.0 as usize]),
-                                    )
-                                })
-                                .collect();
-                            out.push((qi, kept, stats));
-                        }
-                    }
+            for &(t, qs) in chunk {
+                for &qi in qs {
+                    let mut stats = AccessStats::new();
+                    let kept = self.descend_tile(t, &queries[qi as usize], use_clips, &mut stats);
+                    out.push((qi, kept, stats));
                 }
             }
             out
@@ -828,9 +698,9 @@ impl<const D: usize, P: Partitioner<D>> DatasetStore<D, P> {
             }
         }
         // Canonical result order: ascending by id, independent of tile
-        // visit order and of per-query vs fused execution. An object is
-        // kept by exactly one covered tile (the reference-point owner),
-        // so the lists are duplicate-free by construction.
+        // visit order. An object is kept by exactly one covered tile
+        // (the reference-point owner), so the lists are duplicate-free
+        // by construction.
         for r in &mut outcome.results {
             r.sort_unstable();
         }

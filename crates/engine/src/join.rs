@@ -96,53 +96,26 @@ enum TileAlgo {
     Sweep,
 }
 
-/// The thresholds every per-tile `Auto` resolution reads — for joins
-/// ([`JoinAlgo::Auto`]) and for fused batched range execution
-/// ([`crate::QueryAlgo::Auto`]).
+/// The threshold [`JoinAlgo::Auto`]'s per-tile resolution reads.
 ///
-/// The defaults reproduce the previous hard-coded constants exactly (a
+/// The default reproduces the previous hard-coded constant exactly (a
 /// regression test pins this), so a plan or service that never touches
 /// the policy behaves byte-identically. Tuning is exposed because the
-/// right cut-overs are workload- and hardware-dependent: the defaults
-/// were chosen on a 1-core container from machine-independent counters.
+/// right cut-over is workload- and hardware-dependent: the default was
+/// chosen on a 1-core container from machine-independent counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AutoPolicy {
-    /// [`JoinAlgo::Auto`]: a probe side at most `1/ratio` of a cached
-    /// indexed side is "small" enough that per-probe index descents
-    /// beat sorting both sides (INLJ over Sweep). Default 8.
+    /// A probe side at most `1/ratio` of a cached indexed side is
+    /// "small" enough that per-probe index descents beat sorting both
+    /// sides (INLJ over Sweep). Default 8.
     pub inlj_probe_ratio: usize,
-    /// [`crate::QueryAlgo::Auto`]: a tile is fused only when at least
-    /// this many of the batch's queries cover it — below that, the
-    /// shared scan cannot amortise anything over per-query descents.
-    /// Default 4.
-    pub fuse_min_queries: usize,
-    /// [`crate::QueryAlgo::Auto`], cold tile (columns not yet
-    /// extracted): fuse only when the tile holds at most
-    /// `queries × ratio` objects, so the one-off `O(n log n)`
-    /// column extraction is amortised by the batch that forces it.
-    /// A cached tile fuses on `fuse_min_queries` alone. Default 8.
-    pub fuse_cold_ratio: usize,
 }
 
 impl Default for AutoPolicy {
     fn default() -> Self {
         AutoPolicy {
             inlj_probe_ratio: 8,
-            fuse_min_queries: 4,
-            fuse_cold_ratio: 8,
         }
-    }
-}
-
-impl AutoPolicy {
-    /// [`crate::QueryAlgo::Auto`]'s per-tile resolution: fuse the
-    /// `queries` range queries covering a tile of `tile_len` objects
-    /// into one shared sweep, or descend per query? Deterministic in
-    /// its three inputs — batch size, tile cardinality, and whether the
-    /// tile's columns are already cached on the forest.
-    pub fn fuse_tile(&self, queries: usize, tile_len: usize, columns_cached: bool) -> bool {
-        queries >= self.fuse_min_queries
-            && (columns_cached || tile_len <= queries.saturating_mul(self.fuse_cold_ratio))
     }
 }
 
@@ -1439,8 +1412,6 @@ mod tests {
             AutoPolicy::default(),
             AutoPolicy {
                 inlj_probe_ratio: 8,
-                fuse_min_queries: 4,
-                fuse_cold_ratio: 8,
             }
         );
         // The INLJ resolution table of the previous hard-coded 8×
@@ -1455,13 +1426,6 @@ mod tests {
                 "probes={probes} tile={tile}"
             );
         }
-        // Fusion gate: width below the minimum never fuses; at the
-        // minimum, cold tiles need the 8× cardinality bound and warm
-        // tiles always fuse.
-        assert!(!p.fuse_tile(3, 0, true));
-        assert!(p.fuse_tile(4, 1_000_000, true));
-        assert!(p.fuse_tile(4, 32, false));
-        assert!(!p.fuse_tile(4, 33, false));
 
         let a = boxes(200, 34, 25.0);
         let b = boxes(240, 35, 25.0);
@@ -1475,7 +1439,6 @@ mod tests {
         // knob is live, not decorative.
         let strict = plan.with_auto(AutoPolicy {
             inlj_probe_ratio: usize::MAX,
-            ..AutoPolicy::default()
         });
         let probe = boxes(8, 36, 25.0);
         let strict_run = partitioned_join_with(&strict, &probe, &b, &forest);

@@ -1,19 +1,21 @@
-//! Oracle tests for shared-scan batched query execution: the fused
-//! `SharedSweep` and `Auto` paths must be **byte-equal** to the
-//! per-query `Descend` path across every partitioner, clip setting and
-//! split policy — including empty tiles, point-extent queries and
-//! queries straddling tile boundaries — and every path must return each
-//! query's results in the canonical order (ascending by id). The kNN
-//! half pins the clipped-MBB prefilter: identical answers, no more
-//! node accesses than the plain root-MBB ordering.
+//! Oracle tests for batched range execution: every batch answered
+//! through [`DatasetStore::run_with`] — per-tile grouping plus one
+//! clipped-tree descent per query — must be **byte-equal** to a
+//! brute-force scan across every partitioner, clip setting, split
+//! policy and worker count, including empty tiles, point-extent queries
+//! and queries straddling tile boundaries, with each query's results in
+//! the canonical order (ascending by id). Counters must not move under
+//! decomposition. The kNN half pins the clipped-MBB prefilter:
+//! identical answers, no more node accesses than the plain root-MBB
+//! ordering.
 
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_engine::{
-    AdaptiveGrid, AutoPolicy, DatasetStore, Partitioner, QuadtreePartitioner, QueryAlgo,
-    SplitPolicy, UniformGrid,
+    AdaptiveGrid, AutoPolicy, BatchOutcome, DatasetStore, Partitioner, QuadtreePartitioner,
+    QueryAlgo, SplitPolicy, UniformGrid,
 };
 use cbb_geom::{Point, Rect, SplitMix64};
-use cbb_rtree::{TreeConfig, Variant};
+use cbb_rtree::{AccessStats, DataId, TreeConfig, Variant};
 
 fn r2(lx: f64, ly: f64, hx: f64, hy: f64) -> Rect<2> {
     Rect::new(Point([lx, ly]), Point([hx, hy]))
@@ -79,65 +81,66 @@ fn queries(n: usize, seed: u64) -> Vec<Rect<2>> {
 
 const SPLITS: [SplitPolicy; 3] = [SplitPolicy::Never, SplitPolicy::Auto, SplitPolicy::Above(0)];
 
-fn check_fusion_oracle<P: Partitioner<2>>(store: &DatasetStore<2, P>, label: &str) {
+fn run<P: Partitioner<2>>(
+    store: &DatasetStore<2, P>,
+    qs: &[Rect<2>],
+    workers: usize,
+    use_clips: bool,
+    split: SplitPolicy,
+) -> BatchOutcome {
+    store.run_with(
+        qs,
+        workers,
+        use_clips,
+        QueryAlgo::Descend,
+        &AutoPolicy::default(),
+        split,
+    )
+}
+
+/// The oracle: every object intersecting the query, ascending by id.
+fn brute_force(objects: &[Rect<2>], q: &Rect<2>) -> Vec<DataId> {
+    (0..objects.len())
+        .filter(|&i| objects[i].intersects(q))
+        .map(|i| DataId(i as u32))
+        .collect()
+}
+
+fn check_range_oracle<P: Partitioner<2>>(
+    store: &DatasetStore<2, P>,
+    objects: &[Rect<2>],
+    label: &str,
+) {
     let qs = queries(64, 77);
-    let policy = AutoPolicy::default();
+    let expected: Vec<Vec<DataId>> = qs.iter().map(|q| brute_force(objects, q)).collect();
+    assert!(
+        expected.iter().any(|ids| ids.len() > 1),
+        "{label}: the workload must produce multi-object answers"
+    );
     for use_clips in [true, false] {
-        // The pinned baseline: the per-query descent path.
-        let descend = store.run_with(
-            &qs,
-            1,
-            use_clips,
-            QueryAlgo::Descend,
-            &policy,
-            SplitPolicy::Never,
-        );
-        for ids in &descend.results {
-            assert!(
-                ids.is_sorted(),
-                "{label}: canonical order is ascending by id"
-            );
-        }
-        assert_eq!(descend.tiles_fused, 0);
-        assert_eq!(descend.fused_widths, Vec::<u64>::new());
-        for algo in [QueryAlgo::SharedSweep, QueryAlgo::Auto] {
-            for split in SPLITS {
-                for workers in [1, 3] {
-                    let out = store.run_with(&qs, workers, use_clips, algo, &policy, split);
-                    assert_eq!(
-                        out.results, descend.results,
-                        "{label}: {algo:?}/{split:?}/workers={workers}/clips={use_clips} \
-                         must be byte-equal to Descend"
-                    );
-                }
+        for split in SPLITS {
+            for workers in [1, 3] {
+                let out = run(store, &qs, workers, use_clips, split);
+                assert_eq!(
+                    out.results, expected,
+                    "{label}: {split:?}/workers={workers}/clips={use_clips} \
+                     must be byte-equal to the brute-force scan"
+                );
             }
         }
-        // A policy that never fuses reproduces the whole Descend
-        // outcome — counters included — through the Auto path.
-        let never = AutoPolicy {
-            fuse_min_queries: usize::MAX,
-            ..AutoPolicy::default()
-        };
-        let out = store.run_with(
-            &qs,
-            1,
-            use_clips,
-            QueryAlgo::Auto,
-            &never,
-            SplitPolicy::Never,
-        );
-        assert_eq!(out, descend, "{label}: non-fusing Auto == Descend");
     }
+    // The default entry point is the same path.
+    assert_eq!(store.run(&qs, 2, true).results, expected, "{label}: run()");
 }
 
 #[test]
-fn fused_execution_matches_descend_on_all_partitioners() {
+fn batched_ranges_match_brute_force_on_all_partitioners() {
     let objects = boxes(900, 21);
     let tree = TreeConfig::tiny(Variant::RStar);
     let clip = ClipConfig::paper_default::<2>(ClipMethod::Stairline);
 
     let uniform = DatasetStore::build(UniformGrid::new(WORLD, 5), &objects, tree, clip, 2);
-    check_fusion_oracle(&uniform, "uniform");
+    check_range_oracle(&uniform, &objects, "uniform");
 
     let adaptive = DatasetStore::build(
         AdaptiveGrid::from_sample(WORLD, [5, 5], &objects),
@@ -146,7 +149,7 @@ fn fused_execution_matches_descend_on_all_partitioners() {
         clip,
         2,
     );
-    check_fusion_oracle(&adaptive, "adaptive");
+    check_range_oracle(&adaptive, &objects, "adaptive");
 
     let quadtree = DatasetStore::build(
         QuadtreePartitioner::build(WORLD, &objects, 120),
@@ -155,16 +158,15 @@ fn fused_execution_matches_descend_on_all_partitioners() {
         clip,
         2,
     );
-    check_fusion_oracle(&quadtree, "quadtree");
+    check_range_oracle(&quadtree, &objects, "quadtree");
 }
 
-/// Counters of a fixed algorithm are a pure function of the workload:
-/// identical across worker counts and split policies (the chunk-sum
-/// exactness of the sweep kernel and of per-query descents), and the
-/// per-tile `Auto` resolution is taken before decomposition, so the
-/// descend/fused tile mix never moves either.
+/// Counters are a pure function of the workload: identical across
+/// worker counts and split policies (the chunk-sum exactness of
+/// per-query descents), and the per-query counters sum to the batch
+/// total.
 #[test]
-fn fused_counters_are_exact_under_decomposition() {
+fn range_counters_are_exact_under_decomposition() {
     let objects = boxes(700, 22);
     let store = DatasetStore::build(
         UniformGrid::new(WORLD, 4),
@@ -174,44 +176,25 @@ fn fused_counters_are_exact_under_decomposition() {
         2,
     );
     let qs = queries(48, 23);
-    let policy = AutoPolicy::default();
-    // Warm every column so Auto's cachedness input is stable across
-    // the repeated runs below (a fused run warms them as a side
-    // effect; pre-warming makes the baseline itself reproducible).
-    for t in 0..store.forest().tile_count() {
-        store.forest().columns(t);
-    }
-    for algo in [QueryAlgo::Descend, QueryAlgo::SharedSweep, QueryAlgo::Auto] {
-        let base = store.run_with(&qs, 1, true, algo, &policy, SplitPolicy::Never);
+    for use_clips in [true, false] {
+        let base = run(&store, &qs, 1, use_clips, SplitPolicy::Never);
+        assert!(base.stats.leaf_accesses > 0);
         assert_eq!(
             base.stats,
-            cbb_rtree::AccessStats::sum(&base.per_query),
-            "{algo:?}: per-query counters must sum to the batch total"
+            AccessStats::sum(&base.per_query),
+            "per-query counters must sum to the batch total"
         );
         for split in SPLITS {
             for workers in [1, 2, 5] {
-                let out = store.run_with(&qs, workers, true, algo, &policy, split);
-                assert_eq!(out, base, "{algo:?}/{split:?}/workers={workers}");
+                let out = run(&store, &qs, workers, use_clips, split);
+                assert_eq!(out, base, "{split:?}/workers={workers}/clips={use_clips}");
             }
         }
     }
-    // The fused paths really fused something on this workload.
-    let fused = store.run_with(
-        &qs,
-        1,
-        true,
-        QueryAlgo::SharedSweep,
-        &policy,
-        SplitPolicy::Auto,
-    );
-    assert!(fused.tiles_fused > 0);
-    assert_eq!(fused.fused_widths.len(), fused.tiles_fused as usize);
-    let auto = store.run_with(&qs, 1, true, QueryAlgo::Auto, &policy, SplitPolicy::Auto);
-    assert!(auto.tiles_fused > 0, "warm columns must let Auto fuse");
 }
 
-/// Empty batches and batches probing only empty space stay exact on
-/// every path.
+/// Empty batches and batches probing only empty space stay exact under
+/// every split policy.
 #[test]
 fn degenerate_batches_answer_identically() {
     let objects = boxes(300, 24);
@@ -222,14 +205,13 @@ fn degenerate_batches_answer_identically() {
         ClipConfig::paper_default::<2>(ClipMethod::Stairline),
         1,
     );
-    let policy = AutoPolicy::default();
     let empty_space = vec![r2(490.0, 490.0, 499.0, 499.0); 8];
-    for algo in [QueryAlgo::Descend, QueryAlgo::SharedSweep, QueryAlgo::Auto] {
-        let none = store.run_with(&[], 2, true, algo, &policy, SplitPolicy::Auto);
+    for split in SPLITS {
+        let none = run(&store, &[], 2, true, split);
         assert!(none.results.is_empty());
-        assert_eq!(none.stats, cbb_rtree::AccessStats::new());
-        let out = store.run_with(&empty_space, 2, true, algo, &policy, SplitPolicy::Auto);
-        assert!(out.results.iter().all(|ids| ids.is_empty()));
+        assert_eq!(none.stats, AccessStats::new());
+        let out = run(&store, &empty_space, 2, true, split);
+        assert_eq!(out.results, vec![Vec::<DataId>::new(); empty_space.len()]);
     }
 }
 
@@ -271,7 +253,7 @@ fn knn_clipped_prefilter_is_exact_and_cheaper() {
         let plain = store.run_knn_with(&probes, workers, false);
         let clipped = store.run_knn_with(&probes, workers, true);
         assert_eq!(clipped.results, plain.results, "answers must be identical");
-        let accesses = |s: &cbb_rtree::AccessStats| s.leaf_accesses + s.internal_accesses;
+        let accesses = |s: &AccessStats| s.leaf_accesses + s.internal_accesses;
         for (c, p) in clipped.per_query.iter().zip(&plain.per_query) {
             assert!(
                 accesses(c) <= accesses(p),

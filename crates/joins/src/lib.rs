@@ -650,127 +650,6 @@ pub fn sweep_precheck<const D: usize>(
     (result, true)
 }
 
-// ---------------------------------------------------------------------
-// Shared-scan batched range execution (query fusion)
-// ---------------------------------------------------------------------
-
-/// Answer a whole micro-batch of range queries against one tile's
-/// objects with a single plane sweep.
-///
-/// A batch of query rectangles against a tile **is** a spatial join
-/// between the query set and the object set, so this is [`sweep`] with
-/// per-pair attribution instead of aggregate counters: `emit` receives
-/// every intersecting `(query, object)` pair exactly once as `(query
-/// sweep position, object id)`, and `tests[p]` accumulates the overlap
-/// tests charged to the query at sweep position `p` (`tests.len()` must
-/// equal `queries.len()`). Summing `tests` reproduces
-/// `sweep(queries, objects).overlap_tests` exactly — the fused path
-/// stays counter-exact against the join kernel it reuses.
-///
-/// Both [`TileColumns`] sides use the canonical `(x-min, id)` order, so
-/// every counter is a pure function of the two sets — independent of
-/// the order queries arrived in the batch.
-pub fn sweep_queries<const D: usize, E>(
-    queries: &TileColumns<D>,
-    objects: &TileColumns<D>,
-    tests: &mut [u64],
-    mut emit: E,
-) where
-    E: FnMut(usize, DataId),
-{
-    sweep_queries_scan(
-        queries,
-        objects,
-        SweepSide::Left,
-        0,
-        queries.len(),
-        tests,
-        &mut emit,
-    );
-    sweep_queries_scan(
-        queries,
-        objects,
-        SweepSide::Right,
-        0,
-        objects.len(),
-        tests,
-        &mut emit,
-    );
-}
-
-/// One chunk of [`sweep_queries`]: the forward scans of elements
-/// `lo..hi` on one side ([`SweepSide::Left`] = query rects outer,
-/// [`SweepSide::Right`] = objects outer). Mirrors [`sweep_scan`]'s
-/// tie-break exactly — a query scans the objects whose x-min is `>=`
-/// its own (ties included), an object scans the queries whose x-min is
-/// *strictly greater* — so each intersecting pair is emitted once, and
-/// summing chunks over any partition of `0..len` on both sides
-/// reproduces the whole sweep's pairs and per-query `tests` exactly
-/// (parallel executors split a hot tile's fused batch by x-range).
-pub fn sweep_queries_scan<const D: usize, E>(
-    queries: &TileColumns<D>,
-    objects: &TileColumns<D>,
-    side: SweepSide,
-    lo: usize,
-    hi: usize,
-    tests: &mut [u64],
-    emit: &mut E,
-) where
-    E: FnMut(usize, DataId),
-{
-    debug_assert_eq!(tests.len(), queries.len(), "one test counter per query");
-    match side {
-        SweepSide::Left => {
-            // Queries outer, non-strict: a query owns the objects whose
-            // x-min ties its own.
-            let obj_lo0 = objects.lo[0].as_slice();
-            for (off, t) in tests[lo..hi].iter_mut().enumerate() {
-                let qi = lo + off;
-                let q_lo0 = queries.lo[0][qi];
-                let q_hi0 = queries.hi[0][qi];
-                let start = obj_lo0.partition_point(|&x| x < q_lo0);
-                let end = start + obj_lo0[start..].partition_point(|&x| x <= q_hi0);
-                *t += (end - start) as u64;
-                let q_rect = queries.rect(qi);
-                for j in start..end {
-                    let mut ok = true;
-                    for d in 1..D {
-                        ok &= objects.lo[d][j] <= q_rect.hi[d] && q_rect.lo[d] <= objects.hi[d][j];
-                    }
-                    if ok {
-                        emit(qi, objects.ids[j]);
-                    }
-                }
-            }
-        }
-        SweepSide::Right => {
-            // Objects outer, strict: past x-min ties — the Left scan
-            // already owned them. The inner index IS the query sweep
-            // position, so per-query attribution stays exact.
-            let qry_lo0 = queries.lo[0].as_slice();
-            for oi in lo..hi {
-                let o_lo0 = objects.lo[0][oi];
-                let o_hi0 = objects.hi[0][oi];
-                let start = qry_lo0.partition_point(|&x| x <= o_lo0);
-                let end = start + qry_lo0[start..].partition_point(|&x| x <= o_hi0);
-                let o_rect = objects.rect(oi);
-                for (off, t) in tests[start..end].iter_mut().enumerate() {
-                    let qj = start + off;
-                    *t += 1;
-                    let mut ok = true;
-                    for d in 1..D {
-                        ok &=
-                            queries.lo[d][qj] <= o_rect.hi[d] && o_rect.lo[d] <= queries.hi[d][qj];
-                    }
-                    if ok {
-                        emit(qj, objects.ids[oi]);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Brute-force pair count (test oracle).
 pub fn brute_force_pairs<const D: usize>(a: &[Rect<D>], b: &[Rect<D>]) -> u64 {
     let mut pairs = 0u64;
@@ -1111,123 +990,6 @@ mod tests {
         }
         assert_eq!(c.rects().len(), a.len());
         assert_eq!(c.bounds(), Rect::mbb_of(&a));
-    }
-
-    /// Fused hits gathered per query id, sorted, plus the tests total.
-    fn run_sweep_queries(queries: &[Rect<2>], objects: &[Rect<2>]) -> (Vec<Vec<DataId>>, Vec<u64>) {
-        let qc = columns(queries);
-        let oc = columns(objects);
-        let mut tests = vec![0u64; qc.len()];
-        let mut hits: Vec<Vec<DataId>> = vec![Vec::new(); queries.len()];
-        sweep_queries(&qc, &oc, &mut tests, |pos, id| {
-            hits[qc.id(pos).0 as usize].push(id);
-        });
-        for list in &mut hits {
-            list.sort_unstable();
-        }
-        // Re-attribute tests from sweep position to query id.
-        let mut by_query = vec![0u64; queries.len()];
-        for (pos, n) in tests.iter().enumerate() {
-            by_query[qc.id(pos).0 as usize] += n;
-        }
-        (hits, by_query)
-    }
-
-    #[test]
-    fn sweep_queries_matches_brute_force_per_query() {
-        let objects = boxes(200, 26);
-        let queries = boxes(40, 27);
-        let (hits, tests) = run_sweep_queries(&queries, &objects);
-        for (qi, q) in queries.iter().enumerate() {
-            let expected: Vec<DataId> = objects
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| q.intersects(o))
-                .map(|(i, _)| DataId(i as u32))
-                .collect();
-            assert_eq!(hits[qi], expected, "query {qi}");
-        }
-        // Counter-exact against the join kernel it reuses: the summed
-        // per-query tests ARE the sweep's overlap tests.
-        let aggregate = sweep(&columns(&queries), &columns(&objects));
-        assert_eq!(tests.iter().sum::<u64>(), aggregate.overlap_tests);
-        let pairs: u64 = hits.iter().map(|h| h.len() as u64).sum();
-        assert_eq!(pairs, aggregate.pairs);
-    }
-
-    #[test]
-    fn sweep_queries_degenerate_inputs() {
-        // Point queries, duplicate rects, x-min ties straddling both
-        // sides, empty sides — each pair still found exactly once.
-        let objects = vec![
-            r2(5.0, 5.0, 5.0, 5.0),
-            r2(5.0, 5.0, 5.0, 5.0),
-            r2(5.0, 1.0, 9.0, 9.0),
-            r2(0.0, 0.0, 20.0, 20.0),
-        ];
-        let queries = vec![
-            r2(5.0, 5.0, 5.0, 5.0), // point query tying the point objects
-            r2(5.0, 0.0, 5.0, 50.0),
-            r2(30.0, 30.0, 40.0, 40.0), // no hits
-        ];
-        let (hits, _) = run_sweep_queries(&queries, &objects);
-        for (qi, q) in queries.iter().enumerate() {
-            let expected: Vec<DataId> = objects
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| q.intersects(o))
-                .map(|(i, _)| DataId(i as u32))
-                .collect();
-            assert_eq!(hits[qi], expected, "query {qi}");
-        }
-        let empty = columns(&[]);
-        let mut tests: Vec<u64> = Vec::new();
-        sweep_queries(&empty, &columns(&objects), &mut tests, |_, _| {
-            panic!("no queries, no pairs")
-        });
-        let mut tests = vec![0u64; queries.len()];
-        sweep_queries(&columns(&queries), &empty, &mut tests, |_, _| {
-            panic!("no objects, no pairs")
-        });
-        assert_eq!(tests, vec![0; queries.len()]);
-    }
-
-    #[test]
-    fn sweep_queries_chunks_sum_to_whole_exactly() {
-        // The decomposition contract mirrors sweep_scan: any chunking of
-        // both sides' outer ranges reproduces the whole fused batch —
-        // same pairs, same per-query tests.
-        let objects = boxes(300, 28);
-        let queries = boxes(64, 29);
-        let qc = columns(&queries);
-        let oc = columns(&objects);
-        let mut whole_tests = vec![0u64; qc.len()];
-        let mut whole_pairs: Vec<(usize, DataId)> = Vec::new();
-        sweep_queries(&qc, &oc, &mut whole_tests, |pos, id| {
-            whole_pairs.push((pos, id));
-        });
-        whole_pairs.sort_unstable();
-        for chunk in [1usize, 9, 50, 1000] {
-            let mut tests = vec![0u64; qc.len()];
-            let mut pairs: Vec<(usize, DataId)> = Vec::new();
-            for side in [SweepSide::Left, SweepSide::Right] {
-                let n = match side {
-                    SweepSide::Left => qc.len(),
-                    SweepSide::Right => oc.len(),
-                };
-                let mut lo = 0;
-                while lo < n {
-                    let hi = (lo + chunk).min(n);
-                    sweep_queries_scan(&qc, &oc, side, lo, hi, &mut tests, &mut |pos, id| {
-                        pairs.push((pos, id))
-                    });
-                    lo = hi;
-                }
-            }
-            pairs.sort_unstable();
-            assert_eq!(tests, whole_tests, "chunk={chunk}");
-            assert_eq!(pairs, whole_pairs, "chunk={chunk}");
-        }
     }
 
     #[test]

@@ -421,20 +421,10 @@ pub(crate) fn run_batch<const D: usize, P>(
             }
             let queries: Vec<Rect<D>> = group.iter().map(|(_, q)| *q).collect();
             let t = Instant::now();
-            // The whole coalesced read group goes down as ONE fused
-            // call: the engine groups it per tile and answers hot tiles
-            // with a single shared sweep (per the configured
-            // [`cbb_engine::QueryAlgo`]) instead of per-query descents.
-            let outcome = store.run_with(
-                &queries,
-                workers,
-                use_clips,
-                shared.config.query_algo,
-                &shared.config.auto_policy,
-                cbb_engine::SplitPolicy::Auto,
-            );
+            // The whole coalesced read group goes down as one engine
+            // call: the engine groups it per tile and descends per query.
+            let outcome = store.run(&queries, workers, use_clips);
             let d = t.elapsed();
-            shared.stats.record_query_algos(&outcome);
             for (counter, (_, n)) in access.iter().zip(outcome.stats.fields()) {
                 counter.add(n);
             }

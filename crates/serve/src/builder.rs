@@ -34,7 +34,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use cbb_core::ClipConfig;
-use cbb_engine::{AutoPolicy, CompactionPolicy, Partitioner, QueryAlgo};
+use cbb_engine::{AutoPolicy, CompactionPolicy, Partitioner};
 use cbb_geom::Rect;
 use cbb_rtree::TreeConfig;
 use cbb_telemetry::TelemetryConfig;
@@ -146,18 +146,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Range micro-batch execution path (see
-    /// [`ServiceConfig::query_algo`]; default
-    /// [`cbb_engine::QueryAlgo::Auto`]). Answers are byte-equal across
-    /// all variants — the knob moves work counters and wall-clock only.
-    pub fn query_algo(mut self, algo: QueryAlgo) -> Self {
-        self.config.query_algo = algo;
-        self
-    }
-
-    /// Thresholds behind `Auto` join-kernel selection and `Auto` range
-    /// fusion (see [`ServiceConfig::auto_policy`]; the default
-    /// reproduces the previously hard-coded constants byte-for-byte).
+    /// Threshold behind `Auto` join-kernel selection (see
+    /// [`ServiceConfig::auto_policy`]; the default reproduces the
+    /// previously hard-coded constant byte-for-byte).
     pub fn auto_policy(mut self, policy: AutoPolicy) -> Self {
         self.config.auto_policy = policy;
         self

@@ -251,6 +251,30 @@ impl<const D: usize, P> Request<D, P> {
             Request::CrossJoin { .. } | Request::CreateDataset { .. } => None,
         }
     }
+
+    /// Admission check: a `Range` or `Insert` rectangle, or an
+    /// `UpdateBatch` insert, must have finite coordinates and
+    /// `lo <= hi` on every axis (point extents are valid); a `Knn`
+    /// needs a finite centre and `k >= 1`. Other requests pass.
+    pub(crate) fn validate(&self) -> Result<(), RequestError> {
+        const BAD_RECT: &str = "coordinates must be finite with lo <= hi on every axis";
+        let rect_ok = |r: &Rect<D>| r.is_finite() && (0..D).all(|i| r.lo[i] <= r.hi[i]);
+        let check = |ok: bool, why| ok.then_some(()).ok_or(RequestError::InvalidInput(why));
+        match self {
+            Request::Range { query, .. } => check(rect_ok(query), BAD_RECT),
+            Request::Insert { rect, .. } => check(rect_ok(rect), BAD_RECT),
+            Request::UpdateBatch { updates, .. } => check(
+                updates.iter().all(|u| match u {
+                    Update::Insert(rect) => rect_ok(rect),
+                    Update::Delete(_) => true,
+                }),
+                BAD_RECT,
+            ),
+            Request::Knn { k: 0, .. } => check(false, "k must be at least 1"),
+            Request::Knn { center, .. } => check(center.is_finite(), "the centre must be finite"),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Why a request could not be served. Carried inside
@@ -263,6 +287,10 @@ pub enum RequestError {
     UnknownDataset(DatasetId),
     /// `CreateDataset` named an existing dataset.
     NameTaken(String),
+    /// The request is malformed (a non-finite coordinate, an inverted
+    /// rectangle, `k == 0`); refused at admission, before any shard
+    /// sees it.
+    InvalidInput(&'static str),
 }
 
 impl std::fmt::Display for RequestError {
@@ -270,6 +298,7 @@ impl std::fmt::Display for RequestError {
         match self {
             RequestError::UnknownDataset(id) => write!(f, "unknown dataset {id:?}"),
             RequestError::NameTaken(name) => write!(f, "dataset name {name:?} is taken"),
+            RequestError::InvalidInput(why) => write!(f, "invalid input: {why}"),
         }
     }
 }
@@ -292,8 +321,8 @@ pub struct UpdateSummary {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// Ids of matching objects, **sorted ascending by id** — the
-    /// canonical order, independent of the tile visit order, the shard
-    /// layout, and the [`cbb_engine::QueryAlgo`] execution path.
+    /// canonical order, independent of the tile visit order and the
+    /// shard layout.
     Range(Vec<DataId>),
     /// Neighbours sorted by `(squared distance, id)`.
     Knn(Vec<Neighbor>),
@@ -301,7 +330,9 @@ pub enum Response {
     /// [`Request::Join`] and [`Request::CrossJoin`].
     Join(JoinResult),
     /// The id assigned to an applied [`Request::Insert`], or `None`
-    /// when the rectangle was rejected (non-finite).
+    /// when the store rejected the rectangle. The service refuses
+    /// malformed rectangles at admission instead
+    /// ([`RequestError::InvalidInput`]).
     Inserted(Option<DataId>),
     /// Whether the [`Request::Delete`]'s object was live and removed.
     Deleted(bool),
@@ -313,7 +344,8 @@ pub enum Response {
     Dropped(bool),
     /// The version a [`Request::SwapData`] installed.
     Swapped(DataVersion),
-    /// The request could not be served (unknown dataset, name taken).
+    /// The request could not be served (unknown dataset, name taken,
+    /// malformed input).
     Failed(RequestError),
 }
 
@@ -409,7 +441,8 @@ pub struct Completion {
     pub queued: Duration,
     /// Wall-clock of the batch execution that served the request.
     pub serviced: Duration,
-    /// How many requests shared that batch (≥ 1).
+    /// How many requests shared that batch (≥ 1; a request refused at
+    /// admission is answered alone and reports 1).
     pub batch_size: usize,
 }
 

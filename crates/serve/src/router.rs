@@ -61,7 +61,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cbb_core::ClipConfig;
 use cbb_engine::{
@@ -565,11 +565,23 @@ where
     /// scatter per-shard copies (one fan-out lock keeps every shard's
     /// queue order identical), and return a handle onto the merged
     /// answer. Blocks while any target shard's queue is full
-    /// (backpressure).
+    /// (backpressure). A malformed request (see
+    /// [`crate::RequestError::InvalidInput`]) reaches no shard: its handle
+    /// resolves at once to [`Response::Failed`].
     pub fn submit(
         &self,
         request: Request<D, P>,
     ) -> Result<CompletionHandle<Completion>, Closed<Request<D, P>>> {
+        if let Err(err) = request.validate() {
+            let (promise, handle) = completion_pair();
+            promise.fulfill(Completion {
+                response: Response::Failed(err),
+                queued: Duration::ZERO,
+                serviced: Duration::ZERO,
+                batch_size: 1,
+            });
+            return Ok(handle);
+        }
         let (targets, merge, action, wrap) = self.plan(&request);
         self.stats.requests.inc();
         self.stats.fanout.observe(targets.len() as u64);
@@ -850,7 +862,6 @@ fn merge_reports(reports: Vec<ServiceReport>) -> ServiceReport {
     let mut merged = ServiceReport {
         submitted: 0,
         rejected: 0,
-        shed: 0,
         queue_depth: 0,
         completed: 0,
         batches: 0,
@@ -874,7 +885,6 @@ fn merge_reports(reports: Vec<ServiceReport>) -> ServiceReport {
     for (i, report) in reports.into_iter().enumerate() {
         merged.submitted += report.submitted;
         merged.rejected += report.rejected;
-        merged.shed += report.shed;
         merged.queue_depth += report.queue_depth;
         merged.completed += report.completed;
         batched_total += report.mean_batch * report.batches as f64;

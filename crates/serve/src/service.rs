@@ -60,16 +60,14 @@ pub struct ServiceConfig {
     /// and a restarted service recovers the whole catalog — see
     /// [`crate::durability`].
     pub durability: Option<DurabilityConfig>,
-    /// How coalesced range micro-batches execute against each covered
-    /// tile: per-query tree descents, one fused shared sweep, or a
-    /// per-tile choice (the default, [`QueryAlgo::Auto`]). Answers are
-    /// byte-equal across all three — this knob only moves work counters
-    /// and wall-clock.
+    /// The range execution path; its one value is
+    /// [`QueryAlgo::Descend`]. The field exists only because the
+    /// serving benchmark names it, and goes with the next change to
+    /// the benchmark.
     pub query_algo: QueryAlgo,
-    /// Thresholds behind every `Auto` resolution — join algorithm
-    /// selection per tile ([`cbb_engine::JoinAlgo::Auto`]) and range
-    /// fusion ([`QueryAlgo::Auto`]). The default reproduces the
-    /// previously hard-coded constants byte-for-byte.
+    /// Threshold behind per-tile join algorithm selection
+    /// ([`cbb_engine::JoinAlgo::Auto`]). The default reproduces the
+    /// previously hard-coded constant byte-for-byte.
     pub auto_policy: AutoPolicy,
 }
 
@@ -85,7 +83,7 @@ impl Default for ServiceConfig {
             telemetry: TelemetryConfig::default(),
             forest_cache_capacity: cbb_engine::DEFAULT_FOREST_CACHE_CAPACITY,
             durability: None,
-            query_algo: QueryAlgo::Auto,
+            query_algo: QueryAlgo::Descend,
             auto_policy: AutoPolicy::default(),
         }
     }

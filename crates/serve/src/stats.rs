@@ -23,9 +23,6 @@ pub(crate) mod names {
     pub const SUBMITTED: &str = "cbb_requests_submitted_total";
     /// Requests refused (backpressure or closed service).
     pub const REJECTED: &str = "cbb_requests_rejected_total";
-    /// Refusals due to a full queue specifically (load shed). Admission
-    /// blocks on a full queue instead, so the series reads 0.
-    pub const SHED: &str = "cbb_requests_shed_total";
     /// Requests answered (handles fulfilled).
     pub const COMPLETED: &str = "cbb_requests_completed_total";
     /// Requests answered, by request kind.
@@ -54,16 +51,6 @@ pub(crate) mod names {
     pub const CROSS_JOINS: &str = "cbb_cross_joins_total";
     /// Tiles executed per join kernel (`algo` label: stt/inlj/sweep).
     pub const JOIN_ALGO: &str = "cbb_join_algo_total";
-    /// Populated tiles executed per range-batch path (`algo` label:
-    /// descend/sweep) — how often [`cbb_engine::QueryAlgo::Auto`] (or
-    /// an explicit config) fuses a tile's batch slice into one shared
-    /// sweep vs classic per-query descents.
-    pub const QUERY_ALGO: &str = "cbb_query_algo_total";
-    /// Range micro-batches that fused ≥ 1 tile into a shared sweep.
-    pub const FUSED_BATCHES: &str = "cbb_fused_batches_total";
-    /// Queries riding each fused tile sweep (the fused-width
-    /// distribution).
-    pub const FUSED_WIDTH: &str = "cbb_fused_width";
     /// Cross-join probe sides re-partitioned instead of served from a
     /// cached forest (the fallback the forest-native path avoids).
     pub const PROBE_REPARTITIONS: &str = "cbb_probe_repartitions_total";
@@ -114,7 +101,6 @@ pub struct ServiceStats {
     slow: SlowQueryRing,
     pub(crate) submitted: Counter,
     pub(crate) rejected: Counter,
-    pub(crate) shed: Counter,
     pub(crate) completed: Counter,
     pub(crate) by_kind: Vec<Counter>,
     pub(crate) queue_depth: Gauge,
@@ -135,12 +121,6 @@ pub struct ServiceStats {
     /// [`cbb_engine::JoinAlgo::Auto`] (or an explicit plan) lands on
     /// each algorithm.
     pub(crate) join_algo: [Counter; 3],
-    /// Populated tiles executed per range-batch path, indexed
-    /// descend/sweep — how often [`cbb_engine::QueryAlgo::Auto`] (or an
-    /// explicit config) lands on each execution path.
-    pub(crate) query_algo: [Counter; 2],
-    pub(crate) fused_batches: Counter,
-    pub(crate) fused_width: Histogram,
     pub(crate) probe_repartitions: Counter,
     pub(crate) write_batches: Counter,
     pub(crate) updates_applied: Counter,
@@ -167,11 +147,6 @@ impl ServiceStats {
             rejected: registry.counter(
                 names::REJECTED,
                 "Requests refused by backpressure or closure.",
-                &[],
-            ),
-            shed: registry.counter(
-                names::SHED,
-                "Refusals due to a full queue (load shed); admission blocks instead.",
                 &[],
             ),
             completed: registry.counter(
@@ -253,23 +228,6 @@ impl ServiceStats {
                     &[("algo", algo)],
                 )
             }),
-            query_algo: ["descend", "sweep"].map(|algo| {
-                registry.counter(
-                    names::QUERY_ALGO,
-                    "Populated tiles executed per range-batch path.",
-                    &[("algo", algo)],
-                )
-            }),
-            fused_batches: registry.counter(
-                names::FUSED_BATCHES,
-                "Range micro-batches that fused at least one tile into a shared sweep.",
-                &[],
-            ),
-            fused_width: registry.histogram(
-                names::FUSED_WIDTH,
-                "Queries riding each fused tile sweep.",
-                &[],
-            ),
             probe_repartitions: registry.counter(
                 names::PROBE_REPARTITIONS,
                 "Cross-join probe sides re-partitioned instead of served from a cached forest.",
@@ -350,18 +308,6 @@ impl ServiceStats {
         self.join_algo[0].add(result.tiles_stt);
         self.join_algo[1].add(result.tiles_inlj);
         self.join_algo[2].add(result.tiles_sweep);
-    }
-
-    /// Record the per-tile execution-path mix of one fused range batch.
-    pub(crate) fn record_query_algos(&self, outcome: &cbb_engine::BatchOutcome) {
-        self.query_algo[0].add(outcome.tiles_descend);
-        self.query_algo[1].add(outcome.tiles_fused);
-        if outcome.tiles_fused > 0 {
-            self.fused_batches.inc();
-        }
-        for &width in &outcome.fused_widths {
-            self.fused_width.observe(width);
-        }
     }
 
     /// Per-dataset traversal-counter handles (the seven `AccessStats`
@@ -456,7 +402,6 @@ impl ServiceStats {
         ServiceReport {
             submitted: self.submitted.get(),
             rejected: self.rejected.get(),
-            shed: self.shed.get(),
             queue_depth: self.queue_depth.get(),
             completed: self.completed.get(),
             batches,
@@ -539,10 +484,6 @@ pub struct ServiceReport {
     pub submitted: u64,
     /// Requests refused because admission was closed.
     pub rejected: u64,
-    /// The subset of [`Self::rejected`] refused specifically because
-    /// the queue was full (load shedding). Admission blocks on a full
-    /// queue instead of shedding, so this reads 0.
-    pub shed: u64,
     /// Requests admitted but not yet picked up by a dispatcher at
     /// snapshot time.
     pub queue_depth: i64,

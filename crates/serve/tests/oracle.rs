@@ -10,8 +10,8 @@ use cbb_engine::{
     partitioned_join, AdaptiveGrid, AutoPolicy, DatasetStore, JoinAlgo, JoinPlan, SplitPolicy,
 };
 use cbb_geom::{Point, Rect, SplitMix64};
-use cbb_rtree::{TreeConfig, Variant};
-use cbb_serve::{QueryAlgo, Request, ServiceBuilder, ServiceConfig};
+use cbb_rtree::{DataId, TreeConfig, Variant};
+use cbb_serve::{Request, RequestError, Response, ServiceBuilder, ServiceConfig, Update};
 
 const EXEC_WORKERS: usize = 3;
 
@@ -88,7 +88,7 @@ fn batched_answers_equal_direct_executor_answers() {
     for i in 0..60 {
         let use_clips = i % 3 != 0;
         let q = range_qs[i];
-        expected.push(cbb_serve::Response::Range(
+        expected.push(Response::Range(
             direct.run(&[q], 1, use_clips).results.remove(0),
         ));
         handles.push(
@@ -102,9 +102,11 @@ fn batched_answers_equal_direct_executor_answers() {
         );
         if i < 40 {
             let (center, k) = knn_probes[i];
-            expected.push(cbb_serve::Response::Knn(
-                direct.run_knn(&[(center, k)], 1).results.remove(0),
-            ));
+            expected.push(if k == 0 {
+                Response::Failed(RequestError::InvalidInput("k must be at least 1"))
+            } else {
+                Response::Knn(direct.run_knn(&[(center, k)], 1).results.remove(0))
+            });
             handles.push(service.submit(Request::Knn { dataset, center, k }).unwrap());
         }
         if i % 20 == 0 {
@@ -119,7 +121,7 @@ fn batched_answers_equal_direct_executor_answers() {
                     split: SplitPolicy::Auto,
                     auto: AutoPolicy::default(),
                 };
-                expected.push(cbb_serve::Response::Join(partitioned_join(
+                expected.push(Response::Join(partitioned_join(
                     &plan,
                     &join_probes,
                     &f.objects,
@@ -173,7 +175,7 @@ fn batching_configuration_does_not_change_answers() {
             ..ServiceConfig::default()
         },
     ];
-    let mut all_answers: Vec<Vec<cbb_serve::Response>> = Vec::new();
+    let mut all_answers: Vec<Vec<Response>> = Vec::new();
     for config in configs {
         let service = ServiceBuilder::from_config(config).build(
             f.partitioner.clone(),
@@ -206,8 +208,9 @@ fn batching_configuration_does_not_change_answers() {
     assert_eq!(all_answers[0], all_answers[2]);
 }
 
-/// Degenerate requests round-trip: k = 0, empty join probe sets, and a
-/// range query that matches nothing.
+/// Degenerate requests round-trip: empty join probe sets and a range
+/// query that matches nothing are served; k = 0 is refused at
+/// admission.
 #[test]
 fn degenerate_requests_are_served() {
     let f = fixture();
@@ -240,69 +243,172 @@ fn degenerate_requests_are_served() {
             use_clips: false,
         })
         .unwrap();
-    assert!(knn.wait().unwrap().response.into_knn().is_empty());
+    assert!(matches!(
+        knn.wait().unwrap().response,
+        Response::Failed(RequestError::InvalidInput(_))
+    ));
     assert_eq!(join.wait().unwrap().response.into_join().pairs, 0);
     assert!(miss.wait().unwrap().response.into_range().is_empty());
     service.shutdown();
 }
 
-/// The `query_algo` knob moves work counters, never answers: the same
-/// range workload through `Descend`, `SharedSweep` and `Auto` services
-/// — in both service shapes (coalescing micro-batches and the
-/// unbatched per-request path), single-store and sharded — returns
-/// byte-identical responses, all in the canonical ascending-id order.
+/// Range answers are identical to the direct engine in every service
+/// shape — coalescing micro-batches and the unbatched per-request path,
+/// one shard and three — all in the canonical ascending-id order.
 #[test]
-fn query_algo_never_changes_answers_in_any_service_shape() {
+fn range_answers_match_direct_engine_in_every_service_shape() {
     let f = fixture();
     let range_qs = queries(48, 97);
-    let algos = [QueryAlgo::Descend, QueryAlgo::SharedSweep, QueryAlgo::Auto];
-
-    let mut baseline: Option<Vec<Vec<cbb_rtree::DataId>>> = None;
+    let direct = DatasetStore::build(
+        f.partitioner.clone(),
+        &f.objects,
+        f.tree,
+        f.clip,
+        EXEC_WORKERS,
+    );
+    let expected: Vec<Vec<DataId>> = range_qs
+        .iter()
+        .enumerate()
+        .map(|(i, q)| direct.run(&[*q], 1, i % 3 != 0).results.remove(0))
+        .collect();
     for shards in [1, 3] {
         for unbatched in [false, true] {
-            for algo in algos {
-                let mut builder = ServiceBuilder::new()
-                    .shards(shards)
-                    .batch_max(16)
-                    .batch_deadline(Duration::from_millis(3))
-                    .exec_workers(EXEC_WORKERS)
-                    .query_algo(algo);
-                if unbatched {
-                    builder = builder.unbatched();
-                }
-                let service =
-                    builder.build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip);
-                let dataset = service.default_dataset();
-                let handles: Vec<_> = range_qs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, q)| {
-                        service
-                            .submit(Request::Range {
-                                dataset,
-                                query: *q,
-                                use_clips: i % 3 != 0,
-                            })
-                            .unwrap()
-                    })
-                    .collect();
-                let answers: Vec<Vec<cbb_rtree::DataId>> = handles
-                    .into_iter()
-                    .map(|h| h.wait().unwrap().response.into_range())
-                    .collect();
-                service.shutdown();
-                for ids in &answers {
-                    assert!(ids.is_sorted(), "canonical order is ascending by id");
-                }
-                match &baseline {
-                    None => baseline = Some(answers),
-                    Some(expected) => assert_eq!(
-                        &answers, expected,
-                        "shards={shards} unbatched={unbatched} {algo:?} \
-                         must answer byte-equal to the baseline"
-                    ),
-                }
+            let mut builder = ServiceBuilder::new()
+                .shards(shards)
+                .batch_max(16)
+                .batch_deadline(Duration::from_millis(3))
+                .exec_workers(EXEC_WORKERS);
+            if unbatched {
+                builder = builder.unbatched();
             }
+            let service = builder.build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip);
+            let dataset = service.default_dataset();
+            let handles: Vec<_> = range_qs
+                .iter()
+                .enumerate()
+                .map(|(i, q)| {
+                    service
+                        .submit(Request::Range {
+                            dataset,
+                            query: *q,
+                            use_clips: i % 3 != 0,
+                        })
+                        .unwrap()
+                })
+                .collect();
+            let answers: Vec<Vec<DataId>> = handles
+                .into_iter()
+                .map(|h| h.wait().unwrap().response.into_range())
+                .collect();
+            service.shutdown();
+            for ids in &answers {
+                assert!(ids.is_sorted(), "canonical order is ascending by id");
+            }
+            assert_eq!(
+                answers, expected,
+                "shards={shards} unbatched={unbatched} must answer like the engine"
+            );
         }
+    }
+}
+
+/// Malformed reads and writes are refused at admission with
+/// `Failed(InvalidInput)` on every service shape, change nothing, and
+/// leave well-formed neighbours (point-extent rects included) served.
+#[test]
+fn malformed_requests_fail_at_admission() {
+    let f = fixture();
+    let nan = f64::NAN;
+    let r = |lo: [f64; 2], hi: [f64; 2]| Rect {
+        lo: Point(lo),
+        hi: Point(hi),
+    };
+    for shards in [1, 2] {
+        let service = ServiceBuilder::new().shards(shards).build(
+            f.partitioner.clone(),
+            f.objects.clone(),
+            f.tree,
+            f.clip,
+        );
+        let dataset = service.default_dataset();
+        let version = service.dataset_version(dataset);
+        let malformed = [
+            Request::Knn {
+                dataset,
+                center: Point([nan, 0.0]),
+                k: 3,
+            },
+            Request::Knn {
+                dataset,
+                center: Point([0.0, 0.0]),
+                k: 0,
+            },
+            Request::Range {
+                dataset,
+                query: r([nan, 0.0], [1e6, 1e6]),
+                use_clips: true,
+            },
+            Request::Range {
+                dataset,
+                query: r([5e5, 5e5], [1e5, 1e5]),
+                use_clips: false,
+            },
+            Request::Insert {
+                dataset,
+                rect: r([nan, 1.0], [2.0, 2.0]),
+            },
+            Request::Insert {
+                dataset,
+                rect: r([1.0, 1.0], [f64::INFINITY, 2.0]),
+            },
+            Request::UpdateBatch {
+                dataset,
+                updates: vec![
+                    Update::Insert(r([1.0, 1.0], [2.0, 2.0])),
+                    Update::Insert(r([3.0, 1.0], [2.0, 2.0])),
+                ],
+            },
+        ];
+        for request in malformed {
+            let what = format!("{request:?} on {shards} shard(s)");
+            let response = service.submit(request).unwrap().wait().unwrap().response;
+            assert!(
+                matches!(response, Response::Failed(RequestError::InvalidInput(_))),
+                "{what}: got {response:?}"
+            );
+        }
+        assert_eq!(
+            service.dataset_version(dataset),
+            version,
+            "refused writes change nothing ({shards} shard(s))"
+        );
+        // Point extents are valid rectangles.
+        let p = f.objects[0].lo;
+        let hits = service
+            .submit(Request::Range {
+                dataset,
+                query: Rect::point(p),
+                use_clips: true,
+            })
+            .unwrap()
+            .wait()
+            .unwrap()
+            .response
+            .into_range();
+        assert!(hits.contains(&DataId(0)), "{shards} shard(s)");
+        let inserted = service
+            .submit(Request::Insert {
+                dataset,
+                rect: Rect::point(p),
+            })
+            .unwrap()
+            .wait()
+            .unwrap()
+            .response;
+        assert!(
+            matches!(inserted, Response::Inserted(Some(_))),
+            "{shards} shard(s): {inserted:?}"
+        );
+        service.shutdown();
     }
 }

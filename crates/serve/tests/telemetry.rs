@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use cbb_core::{ClipConfig, ClipMethod};
 use cbb_datasets::skew::clustered_with_layout;
-use cbb_engine::{AdaptiveGrid, AutoPolicy, DatasetStore, JoinAlgo, QueryAlgo, SplitPolicy};
+use cbb_engine::{AdaptiveGrid, DatasetStore, JoinAlgo};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_rtree::{AccessStats, TreeConfig, Variant};
 use cbb_serve::{
@@ -78,28 +78,16 @@ fn knn_probes(n: usize, seed: u64) -> Vec<(Point<2>, usize)> {
 /// workload against a directly-built [`DatasetStore`] must reproduce
 /// every field byte-for-byte.
 ///
-/// Pinned for both fixed execution paths: per-query counters are a
-/// pure function of the (query, tile) pair under `Descend` *and* under
-/// `SharedSweep` (the sweep charges each query exactly the candidate
-/// pairs its own x-interval admits), so the totals are independent of
-/// how the service cut the workload into micro-batches. (`Auto` is
-/// deliberately absent here: its per-tile decision depends on how many
-/// batch queries land on the tile, so its totals vary with micro-batch
-/// composition.)
+/// Per-query counters are a pure function of the (query, tile) pair,
+/// so the totals are independent of how the service cut the workload
+/// into micro-batches.
 #[test]
 fn registry_access_counters_match_direct_engine_oracle() {
-    for algo in [QueryAlgo::Descend, QueryAlgo::SharedSweep] {
-        registry_access_counters_oracle(algo);
-    }
-}
-
-fn registry_access_counters_oracle(algo: QueryAlgo) {
     let f = fixture();
     let svc = ServiceBuilder::from_config(ServiceConfig {
         batch_max: 8,
         batch_deadline: Duration::from_millis(2),
         exec_workers: EXEC_WORKERS,
-        query_algo: algo,
         ..ServiceConfig::default()
     })
     .build(f.partitioner.clone(), f.objects.clone(), f.tree, f.clip);
@@ -155,28 +143,9 @@ fn registry_access_counters_oracle(algo: QueryAlgo) {
         f.clip,
         EXEC_WORKERS,
     );
-    let policy = AutoPolicy::default();
     let mut oracle = AccessStats::new();
-    oracle += &store
-        .run_with(
-            &clipped,
-            EXEC_WORKERS,
-            true,
-            algo,
-            &policy,
-            SplitPolicy::Auto,
-        )
-        .stats;
-    oracle += &store
-        .run_with(
-            &baseline,
-            EXEC_WORKERS,
-            false,
-            algo,
-            &policy,
-            SplitPolicy::Auto,
-        )
-        .stats;
+    oracle += &store.run(&clipped, EXEC_WORKERS, true).stats;
+    oracle += &store.run(&baseline, EXEC_WORKERS, false).stats;
     oracle += &store.run_knn(&probes, EXEC_WORKERS).stats;
 
     let labels = [("dataset", DEFAULT_DATASET)];
@@ -185,7 +154,7 @@ fn registry_access_counters_oracle(algo: QueryAlgo) {
         assert_eq!(
             scrape.snapshot.counter(&name, &labels),
             Some(expected),
-            "{name} must equal the direct-engine AccessStats oracle under {algo:?}"
+            "{name} must equal the direct-engine AccessStats oracle"
         );
     }
 
@@ -413,7 +382,6 @@ fn golden_scrape_format() {
     let expected_types = [
         ("cbb_requests_submitted_total", "counter"),
         ("cbb_requests_rejected_total", "counter"),
-        ("cbb_requests_shed_total", "counter"),
         ("cbb_requests_completed_total", "counter"),
         ("cbb_requests_by_kind_total", "counter"),
         ("cbb_queue_depth", "gauge"),
@@ -428,9 +396,6 @@ fn golden_scrape_format() {
         ("cbb_forest_hits_total", "counter"),
         ("cbb_cross_joins_total", "counter"),
         ("cbb_join_algo_total", "counter"),
-        ("cbb_query_algo_total", "counter"),
-        ("cbb_fused_batches_total", "counter"),
-        ("cbb_fused_width", "histogram"),
         ("cbb_probe_repartitions_total", "counter"),
         ("cbb_write_batches_total", "counter"),
         ("cbb_updates_applied_total", "counter"),

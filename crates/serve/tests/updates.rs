@@ -12,7 +12,7 @@ use cbb_engine::{DataVersion, JoinAlgo, UniformGrid, Update, UpdateResult};
 use cbb_geom::{Point, Rect, SplitMix64};
 use cbb_joins::brute_force_pairs;
 use cbb_rtree::{DataId, TreeConfig, Variant};
-use cbb_serve::{Request, ServiceBuilder, ServiceConfig, ShardedService};
+use cbb_serve::{Request, RequestError, Response, ServiceBuilder, ServiceConfig, ShardedService};
 
 type Service = ShardedService<2, UniformGrid<2>>;
 
@@ -282,7 +282,6 @@ fn write_batches_bump_once_and_degenerates_answer() {
                 Update::Delete(DataId(0)),
                 Update::Delete(DataId(0)), // now dead
                 Update::Delete(DataId(999_999)),
-                Update::Insert(Rect::new(Point([0.0, 0.0]), Point([f64::INFINITY, 1.0]))),
             ],
         })
         .unwrap()
@@ -303,7 +302,6 @@ fn write_batches_bump_once_and_degenerates_answer() {
             UpdateResult::Deleted(true),
             UpdateResult::Deleted(false),
             UpdateResult::Deleted(false),
-            UpdateResult::Rejected,
         ]
     );
 
@@ -326,20 +324,30 @@ fn write_batches_bump_once_and_degenerates_answer() {
         DataVersion(1)
     );
 
-    // All-no-op write batches (a rejected insert, a dead delete) are
-    // answered but change nothing: no bump, no cache churn, no
-    // applied-update accounting — a retry storm cannot roll versions.
-    let none = svc
-        .submit(Request::Insert {
+    // All-no-op writes (a non-finite insert refused at admission, alone
+    // or inside a batch, and a dead delete) are answered but change
+    // nothing: no bump, no cache churn, no applied-update accounting —
+    // a retry storm cannot roll versions.
+    let infinite = Rect {
+        lo: Point([0.0, 0.0]),
+        hi: Point([f64::INFINITY, 1.0]),
+    };
+    for request in [
+        Request::Insert {
             dataset: svc.default_dataset(),
-            rect: Rect::new(Point([0.0, 0.0]), Point([f64::INFINITY, 1.0])),
-        })
-        .unwrap()
-        .wait()
-        .unwrap()
-        .response
-        .into_inserted();
-    assert_eq!(none, None);
+            rect: infinite,
+        },
+        Request::UpdateBatch {
+            dataset: svc.default_dataset(),
+            updates: vec![Update::Insert(infinite)],
+        },
+    ] {
+        let refused = svc.submit(request).unwrap().wait().unwrap().response;
+        assert!(
+            matches!(refused, Response::Failed(RequestError::InvalidInput(_))),
+            "{refused:?}"
+        );
+    }
     let dead = svc
         .submit(Request::Delete {
             dataset: svc.default_dataset(),
